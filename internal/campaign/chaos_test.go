@@ -4,29 +4,75 @@ import (
 	"bytes"
 	"context"
 	"testing"
+	"time"
 
 	"kagura/internal/faultinject"
+	"kagura/internal/simsvc"
 )
 
-// A campaign under injected dispatch faults must settle with a report
-// byte-identical to the fault-free run: dispatch errors are transient, the
-// engine's bounded re-dispatch is idempotent (the content-addressed cache
-// coalesces duplicates), and the report carries no retry provenance. The
-// decode and export points get the same treatment at their own boundaries.
-func TestCampaignChaosDispatchSettlesIdentical(t *testing.T) {
+// Service backpressure is the one failure the engine re-dispatches: a
+// one-worker service with a two-slot queue, its compute slowed by a
+// latency-only rule, sheds part of every wave chunk. The engine re-dispatches
+// each shed chunk (the content-addressed cache coalesces the points that did
+// get in), and the report is byte-identical to a clean run.
+func TestCampaignBackpressureRedispatchIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a campaign twice")
 	}
 	faultinject.Disable()
+	cleanSvc := newTestService(t, 4)
+	cleanJSON, cleanCSV := exports(t, runCampaign(t, cleanSvc, smallSpec()))
 
-	spec := smallSpec()
-	svc := newTestService(t, 4)
-	clean := runCampaign(t, svc, spec)
-	cleanJSON, cleanCSV := exports(t, clean)
-
+	// Delay only, no error: 200 ms per compute keeps the queue occupied long
+	// enough for the breaker to shed (at 20 ms nothing is shed). A submission
+	// must arrive before the worker drains the queue, so on a host or build
+	// (-race) where preparing one spec takes longer, the delay grows to three
+	// spec preparations. Resubmitting the settled baseline is a cache hit, so
+	// it times exactly that preparation.
+	latency := 200 * time.Millisecond
+	start := time.Now()
+	if _, err := cleanSvc.Submit(*smallSpec().Baseline); err != nil {
+		t.Fatal(err)
+	}
+	if prep := 3 * time.Since(start); prep > latency {
+		latency = prep
+	}
 	if err := faultinject.Enable(faultinject.Plan{Seed: 11, Rules: []faultinject.Rule{
-		// Every other dispatch fails — far above any realistic fault rate, so
-		// the retry path is guaranteed to run several times per campaign.
+		{Point: "simsvc.compute", Kind: faultinject.KindLatency, Every: 1, LatencyMicros: latency.Microseconds()},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(faultinject.Disable)
+
+	svc := simsvc.New(simsvc.Options{Workers: 1, QueueDepth: 2})
+	t.Cleanup(svc.Close)
+	met := &Metrics{}
+	rep, err := (&Runner{Svc: svc, Met: met}).Run(context.Background(), smallSpec())
+	if err != nil {
+		t.Fatalf("campaign under backpressure failed: %v", err)
+	}
+	shed, redispatched := svc.Metrics().JobsShed, met.Snapshot().DispatchRetries
+	t.Logf("shed %d submissions, re-dispatched %d chunks", shed, redispatched)
+	if shed == 0 {
+		t.Fatal("no submission was shed; the setup is not exercising backpressure")
+	}
+	if redispatched == 0 {
+		t.Fatal("submissions were shed but no chunk was re-dispatched")
+	}
+	gotJSON, gotCSV := exports(t, rep)
+	if !bytes.Equal(cleanJSON, gotJSON) {
+		t.Errorf("JSON report differs under backpressure:\n%s\n---\n%s", cleanJSON, gotJSON)
+	}
+	if !bytes.Equal(cleanCSV, gotCSV) {
+		t.Errorf("CSV report differs under backpressure:\n%s\n---\n%s", cleanCSV, gotCSV)
+	}
+}
+
+// An injected campaign.dispatch error is not backpressure: the campaign
+// fails fast with the fault_injected code and produces no report.
+func TestCampaignDispatchFaultFailsFast(t *testing.T) {
+	faultinject.Disable()
+	if err := faultinject.Enable(faultinject.Plan{Seed: 11, Rules: []faultinject.Rule{
 		{Point: "campaign.dispatch", Kind: faultinject.KindError, Every: 2, Message: "chaos: dispatch"},
 	}}); err != nil {
 		t.Fatal(err)
@@ -34,32 +80,25 @@ func TestCampaignChaosDispatchSettlesIdentical(t *testing.T) {
 	t.Cleanup(faultinject.Disable)
 
 	met := &Metrics{}
-	chaoticSvc := newTestService(t, 4)
-	runner := &Runner{Svc: chaoticSvc, Met: met}
-	chaotic, err := runner.Run(context.Background(), smallSpec())
-	if err != nil {
-		t.Fatalf("chaotic campaign failed to settle: %v", err)
+	rep, err := (&Runner{Svc: newTestService(t, 4), Met: met}).Run(context.Background(), smallSpec())
+	if err == nil {
+		t.Fatal("campaign settled despite an injected dispatch fault")
 	}
-	if faultinject.Fires("campaign.dispatch") == 0 {
-		t.Fatalf("no dispatch faults fired; the chaos plan is not exercising the engine")
+	if code := simsvc.Classify(err); code != simsvc.CodeFaultInjected {
+		t.Fatalf("Classify(%v) = %q, want %q", err, code, simsvc.CodeFaultInjected)
 	}
-	if met.Snapshot().DispatchRetries == 0 {
-		t.Fatalf("dispatch faults fired but no retries were counted")
+	if rep != nil {
+		t.Fatalf("a failed campaign produced a partial report: %+v", rep)
 	}
-
-	chaoticJSON, err := chaotic.ExportJSON()
-	if err != nil {
-		t.Fatalf("ExportJSON under chaos: %v", err)
+	if got := faultinject.Fires("campaign.dispatch"); got != 1 {
+		t.Fatalf("campaign.dispatch fired %d times, want 1 (no re-dispatch after the fault)", got)
 	}
-	chaoticCSV, err := chaotic.ExportCSV()
-	if err != nil {
-		t.Fatalf("ExportCSV under chaos: %v", err)
+	snap := met.Snapshot()
+	if snap.DispatchRetries != 0 {
+		t.Fatalf("DispatchRetries = %d, want 0: a fault is not backpressure", snap.DispatchRetries)
 	}
-	if !bytes.Equal(cleanJSON, chaoticJSON) {
-		t.Errorf("JSON report differs under dispatch chaos:\n%s\n---\n%s", cleanJSON, chaoticJSON)
-	}
-	if !bytes.Equal(cleanCSV, chaoticCSV) {
-		t.Errorf("CSV report differs under dispatch chaos:\n%s\n---\n%s", cleanCSV, chaoticCSV)
+	if snap.Failed != 1 || snap.Completed != 0 {
+		t.Fatalf("campaign counters = %+v, want exactly one failed run", snap)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 	"kagura/internal/simsvc"
 )
 
-// maxDispatchRetries bounds how often one wave chunk is re-dispatched after a
-// transient submission failure (injected faults, a momentarily full queue).
+// maxDispatchRetries bounds how often one wave chunk is re-dispatched after
+// the service pushes back (a full queue, the load-shedding breaker).
 // Re-dispatching is idempotent: the content-addressed cache coalesces any
 // spec already in flight, so a retry never double-computes.
 const maxDispatchRetries = 64
@@ -306,10 +306,11 @@ func (r *Runner) journalDone() {
 }
 
 // runPoints dispatches one chunk of specs as a fork-batch and waits for every
-// job in index order. Transient dispatch failures — injected faults at
-// campaign.dispatch, a full queue, the load-shedding breaker — retry the
-// whole chunk (bounded); the result cache coalesces duplicates, so retried
-// chunks settle to the same results a clean dispatch produces.
+// job in index order. Service backpressure — a full queue, the load-shedding
+// breaker — re-dispatches the whole chunk (bounded); the result cache
+// coalesces duplicates, so re-dispatched chunks settle to the same results a
+// clean dispatch produces. Any other failure, a failed job included, fails
+// the campaign with the service's taxonomy code.
 func (r *Runner) runPoints(ctx context.Context, round int, indices []int, specs []simsvc.RunSpec, fork *simsvc.ForkPoint) ([]*ehs.Result, error) {
 	var jobs []*simsvc.Job
 	for attempt := 0; ; attempt++ {
@@ -333,18 +334,6 @@ func (r *Runner) runPoints(ctx context.Context, round int, indices []int, specs 
 	out := make([]*ehs.Result, len(jobs))
 	for i, job := range jobs {
 		res, err := job.Wait(ctx)
-		for attempt := 0; err != nil && attempt < maxDispatchRetries && transient(err); attempt++ {
-			// The job's own retry budget is exhausted; resubmit the point
-			// (through the same fork, so it keeps its cache identity). A
-			// completed twin serves from the cache, an in-flight twin coalesces.
-			r.Met.dispatchRetried()
-			var twins []*simsvc.Job
-			twins, err = r.Svc.SubmitBatchFork(specs[i:i+1], fork)
-			if err != nil {
-				continue
-			}
-			res, err = twins[0].Wait(ctx)
-		}
 		if err != nil {
 			return nil, fmt.Errorf("campaign: point %d: %w", indices[i], err)
 		}
@@ -353,12 +342,11 @@ func (r *Runner) runPoints(ctx context.Context, round int, indices []int, specs 
 	return out, nil
 }
 
-// transient reports whether a dispatch or job failure is worth retrying:
-// queue pressure, load shedding, and injected faults settle; validation and
-// deterministic simulation failures do not.
+// transient reports whether a dispatch failure is service backpressure — a
+// full queue or the load-shedding breaker — which drains as the workers run.
 func transient(err error) bool {
 	switch simsvc.Classify(err) {
-	case simsvc.CodeQueueFull, simsvc.CodeOverloaded, simsvc.CodeFaultInjected, simsvc.CodePanic:
+	case simsvc.CodeQueueFull, simsvc.CodeOverloaded:
 		return true
 	}
 	return false

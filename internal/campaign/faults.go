@@ -10,11 +10,10 @@ var (
 	// fpDecode fires at the top of DecodeSpec (error-only): a rejected or
 	// corrupted spec upload.
 	fpDecode = faultinject.Point("campaign.decode")
-	// fpDispatch fires before each batch submission to simsvc. Injected
-	// errors are transient (Temporary() == true), so the engine retries the
-	// batch; the content-addressed cache coalesces any duplicate submissions,
-	// which is what keeps the settled report byte-identical to a fault-free
-	// run.
+	// fpDispatch fires before each batch submission to simsvc. An injected
+	// error fails the campaign fast with code fault_injected and no report;
+	// a latency rule delays the dispatch (the crash-recovery harness uses it
+	// to hold a campaign mid-wave).
 	fpDispatch = faultinject.Point("campaign.dispatch")
 	// fpExport fires at the top of report export (error-only): a failed
 	// report write surfaces to the caller instead of emitting a torn file.

@@ -47,9 +47,6 @@ func TestNthTrigger(t *testing.T) {
 			if inj.Point != "test.nth" || inj.Occurrence != 3 {
 				t.Fatalf("injected error %+v", inj)
 			}
-			if !inj.Temporary() {
-				t.Fatal("injected errors must be Temporary")
-			}
 		}
 	}
 	if got := Fires("test.nth"); got != 1 {

@@ -28,9 +28,8 @@ const (
 	MetricWarmCyclesSavedTotal = "kagura_warm_cycles_saved_total"
 	MetricWarmSnapshotBytes    = "kagura_warm_snapshot_bytes"
 
-	// Resilience: retries, shedding, degradation, classified errors.
+	// Resilience: recovered panics, shedding, degradation, classified errors.
 	MetricPanicsRecoveredTotal = "kagura_panics_recovered_total"
-	MetricJobsRetriedTotal     = "kagura_jobs_retried_total"
 	MetricJobsShedTotal        = "kagura_jobs_shed_total"
 	MetricDegradedRuns         = "kagura_degraded_runs"
 	MetricShedding             = "kagura_shedding"
@@ -66,7 +65,6 @@ const (
 	// Histograms.
 	MetricJobPhaseSeconds    = "kagura_job_phase_seconds"
 	MetricQueueDepthObserved = "kagura_queue_depth_observed"
-	MetricQueueDepthSampled  = "kagura_queue_depth_sampled"
 	MetricResultBytes        = "kagura_result_bytes"
 
 	// Campaign engine (internal/campaign). The kagura_campaign prefix is the
@@ -96,7 +94,6 @@ func KnownMetricNames() []string {
 		MetricWarmCyclesSavedTotal,
 		MetricWarmSnapshotBytes,
 		MetricPanicsRecoveredTotal,
-		MetricJobsRetriedTotal,
 		MetricJobsShedTotal,
 		MetricDegradedRuns,
 		MetricShedding,
@@ -124,7 +121,6 @@ func KnownMetricNames() []string {
 		MetricJournalReplayedJobsTotal,
 		MetricJobPhaseSeconds,
 		MetricQueueDepthObserved,
-		MetricQueueDepthSampled,
 		MetricResultBytes,
 		MetricCampaignsTotal,
 		MetricCampaignRunning,

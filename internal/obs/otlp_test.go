@@ -14,7 +14,7 @@ func otlpTestTrace(origin time.Time) *Trace {
 	tr := NewTrace(origin)
 	tr.Begin(PhaseQueued, origin)
 	tr.Begin(PhaseStore, origin.Add(1*time.Second))
-	tr.BeginAttempt(1, PhaseCompute, origin.Add(2*time.Second))
+	tr.Begin(PhaseCompute, origin.Add(2*time.Second))
 	tr.End(origin.Add(5 * time.Second))
 	return tr
 }
@@ -41,18 +41,13 @@ func TestMarshalOTLPShape(t *testing.T) {
 					Name string `json:"name"`
 				} `json:"scope"`
 				Spans []struct {
-					TraceID           string `json:"traceId"`
-					SpanID            string `json:"spanId"`
-					Name              string `json:"name"`
-					Kind              int    `json:"kind"`
-					StartTimeUnixNano string `json:"startTimeUnixNano"`
-					EndTimeUnixNano   string `json:"endTimeUnixNano"`
-					Attributes        []struct {
-						Key   string `json:"key"`
-						Value struct {
-							IntValue string `json:"intValue"`
-						} `json:"value"`
-					} `json:"attributes"`
+					TraceID           string          `json:"traceId"`
+					SpanID            string          `json:"spanId"`
+					Name              string          `json:"name"`
+					Kind              int             `json:"kind"`
+					StartTimeUnixNano string          `json:"startTimeUnixNano"`
+					EndTimeUnixNano   string          `json:"endTimeUnixNano"`
+					Attributes        json.RawMessage `json:"attributes"`
 				} `json:"spans"`
 			} `json:"scopeSpans"`
 		} `json:"resourceSpans"`
@@ -113,17 +108,16 @@ func TestMarshalOTLPShape(t *testing.T) {
 			t.Errorf("span[%d] ends before it starts", i)
 		}
 	}
-	// The last span covers seconds 2..5 and carries the attempt attribute.
+	// The last span covers seconds 2..5.
 	last := spans[2]
 	if got := origin.Add(5 * time.Second).UnixNano(); last.EndTimeUnixNano != strconv.FormatInt(got, 10) {
 		t.Errorf("compute span end = %s, want %d", last.EndTimeUnixNano, got)
 	}
-	if len(last.Attributes) != 1 || last.Attributes[0].Key != "kagura.attempt" || last.Attributes[0].Value.IntValue != "1" {
-		t.Errorf("compute span attributes = %+v, want kagura.attempt=1", last.Attributes)
-	}
-	// Phases outside any attempt carry no attempt attribute.
-	if len(spans[0].Attributes) != 0 {
-		t.Errorf("queued span attributes = %+v, want none", spans[0].Attributes)
+	// Spans carry no attributes: the phase name is the whole payload.
+	for i, sp := range spans {
+		if sp.Attributes != nil {
+			t.Errorf("span[%d] attributes = %s, want none", i, sp.Attributes)
+		}
 	}
 }
 

@@ -12,15 +12,15 @@ import (
 	"kagura/internal/obs"
 )
 
-// chaosPlan is the soak's fault mix: transient compute errors and panics
-// (exercising retry and recover), compute latency (exercising coalescing
+// chaosPlan is the soak's fault mix: compute errors and panics (exercising
+// the fail-fast and recover paths), compute latency (exercising coalescing
 // under slow owners), cache-insert and coalesce faults, and the full
 // warm-start gauntlet (owner failure, fork failure, premature eviction).
 func chaosPlan(seed uint64) faultinject.Plan {
 	return faultinject.Plan{Seed: seed, Rules: []faultinject.Rule{
-		{Point: "simsvc.compute", Kind: faultinject.KindError, Probability: 0.15, Message: "chaos: transient compute"},
+		{Point: "simsvc.compute", Kind: faultinject.KindError, Probability: 0.15, Message: "chaos: compute"},
 		// Nth, not a low-probability coin: every seed is guaranteed to crash
-		// the third compute attempt, so the soak always exercises the worker's
+		// the third compute, so the soak always exercises the worker's
 		// recover shield (a coin left it unexercised and masked an escape).
 		{Point: "simsvc.compute", Kind: faultinject.KindPanic, Nth: 3, Message: "chaos: compute crash"},
 		{Point: "simsvc.compute", Kind: faultinject.KindLatency, Probability: 0.10, LatencyMicros: 2_000},
@@ -76,13 +76,7 @@ func TestChaosSoak(t *testing.T) {
 			}
 			t.Cleanup(faultinject.Disable)
 
-			svc := newTestService(t, Options{
-				Workers: 8, QueueDepth: 4096,
-				RetryMax:       3,
-				RetryBaseDelay: time.Millisecond,
-				RetryMaxDelay:  8 * time.Millisecond,
-				RetrySeed:      seed,
-			})
+			svc := newTestService(t, Options{Workers: 8, QueueDepth: 4096})
 
 			specs := soakSpecs(plainJobs)
 			var jobs []*Job
@@ -118,9 +112,9 @@ func TestChaosSoak(t *testing.T) {
 					t.Fatalf("job %d did not settle before the deadline (deadlock?)", i)
 				}
 				if err != nil {
-					// A job may exhaust its retries under a hostile plan; that is
-					// a settled failure, not a soak violation — but it must carry
-					// a taxonomy code.
+					// A job fails fast when a fault hits its compute; that is a
+					// settled failure, not a soak violation — but it must carry a
+					// taxonomy code.
 					if code := Classify(err); code == "" || code == CodeInternal {
 						t.Fatalf("job %d failed outside the taxonomy: %v", i, err)
 					}
@@ -141,6 +135,8 @@ func TestChaosSoak(t *testing.T) {
 				}
 			}
 
+			computeFires := faultinject.Fires("simsvc.compute")
+
 			// Fault-free replay: every result the chaotic service produced must
 			// be byte-identical to a clean run of the same spec.
 			faultinject.Disable()
@@ -156,7 +152,7 @@ func TestChaosSoak(t *testing.T) {
 				}
 				cj, ok := chaotic[job.Key()]
 				if !ok {
-					continue // the chaotic twin exhausted its retries
+					continue // the chaotic twin failed under a fault
 				}
 				got, _ := cj.Wait(ctx)
 				gb, err := json.Marshal(got)
@@ -173,11 +169,14 @@ func TestChaosSoak(t *testing.T) {
 			}
 
 			m := svc.Metrics()
-			t.Logf("seed %d: run=%d cached=%d failed=%d retried=%d panics=%d degraded=%d errors=%v",
-				seed, m.JobsRun, m.JobsCached, m.JobsFailed, m.JobsRetried,
+			t.Logf("seed %d: run=%d cached=%d failed=%d compute-fires=%d panics=%d degraded=%d errors=%v",
+				seed, m.JobsRun, m.JobsCached, m.JobsFailed, computeFires,
 				m.PanicsRecovered, m.DegradedRuns, m.Errors)
-			if m.JobsRetried == 0 {
-				t.Error("the chaos plan never fired a compute fault; the soak exercised nothing")
+			if computeFires == 0 {
+				t.Error("the chaos plan never fired at simsvc.compute; the soak exercised nothing")
+			}
+			if m.Errors[string(CodeFaultInjected)] == 0 {
+				t.Error("no job failed with fault_injected; the compute error rule never surfaced")
 			}
 			if m.PanicsRecovered == 0 {
 				t.Error("no panic was recovered; the nth-occurrence crash rule never fired")
@@ -197,10 +196,7 @@ func TestChaosSoakDeterministicFires(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer faultinject.Disable()
-		svc := newTestService(t, Options{
-			Workers: 1, QueueDepth: 1024,
-			RetryMax: 2, RetryBaseDelay: time.Millisecond, RetryMaxDelay: time.Millisecond,
-		})
+		svc := newTestService(t, Options{Workers: 1, QueueDepth: 1024})
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
 		for _, spec := range soakSpecs(10) {
@@ -233,10 +229,7 @@ func TestServiceCloseUnderChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(faultinject.Disable)
-	svc := New(Options{
-		Workers: 4, QueueDepth: 256,
-		RetryMax: 3, RetryBaseDelay: 50 * time.Millisecond, RetryMaxDelay: time.Second,
-	})
+	svc := New(Options{Workers: 4, QueueDepth: 256})
 	var jobs []*Job
 	for _, spec := range soakSpecs(12) {
 		job, err := svc.Submit(spec)

@@ -53,7 +53,6 @@ type metrics struct {
 
 	// Resilience counters.
 	panicsRecovered int64 // compute panics caught by a worker
-	jobsRetried     int64 // retry attempts after transient failures
 	jobsShed        int64 // submissions rejected by the load-shedding breaker
 	degradedRuns    int64 // warm starts downgraded to cold runs
 	// errorsByCode tallies terminal and rejection errors by taxonomy code.
@@ -74,12 +73,11 @@ type metrics struct {
 
 	// Fixed-bucket histograms; guarded by Service.mu like the counters, so
 	// the unsynchronized obs.Histogram is safe here.
-	queueSecondsHist      *obs.Histogram
-	runSecondsHist        *obs.Histogram
-	queueDepthHist        *obs.Histogram
-	queueDepthSampledHist *obs.Histogram
-	resultBytesHist       *obs.Histogram
-	snapshotBytesHist     *obs.Histogram
+	queueSecondsHist  *obs.Histogram
+	runSecondsHist    *obs.Histogram
+	queueDepthHist    *obs.Histogram
+	resultBytesHist   *obs.Histogram
+	snapshotBytesHist *obs.Histogram
 }
 
 // init constructs the histograms; called once from New before any job flows.
@@ -87,7 +85,6 @@ func (m *metrics) init() {
 	m.queueSecondsHist = obs.NewHistogram(latencySecondsBuckets...)
 	m.runSecondsHist = obs.NewHistogram(latencySecondsBuckets...)
 	m.queueDepthHist = obs.NewHistogram(queueDepthBuckets...)
-	m.queueDepthSampledHist = obs.NewHistogram(queueDepthBuckets...)
 	m.resultBytesHist = obs.NewHistogram(sizeBytesBuckets...)
 	m.snapshotBytesHist = obs.NewHistogram(sizeBytesBuckets...)
 }
@@ -123,11 +120,10 @@ type MetricsSnapshot struct {
 	RunSecondsTotal   float64 `json:"runSecondsTotal"`
 	RunSamples        int64   `json:"runSamples"`
 
-	// Resilience: recovered compute panics, retry attempts, shed
-	// submissions, warm starts degraded to cold runs, the breaker state, and
-	// error totals keyed by taxonomy code (only non-zero codes appear).
+	// Resilience: recovered compute panics, shed submissions, warm starts
+	// degraded to cold runs, the breaker state, and error totals keyed by
+	// taxonomy code (only non-zero codes appear).
 	PanicsRecovered int64            `json:"panicsRecovered"`
-	JobsRetried     int64            `json:"jobsRetried"`
 	JobsShed        int64            `json:"jobsShed"`
 	DegradedRuns    int64            `json:"degradedRuns"`
 	Shedding        bool             `json:"shedding"`
@@ -155,14 +151,11 @@ type MetricsSnapshot struct {
 	JournalReplayedJobs int64                   `json:"journalReplayedJobs"`
 
 	// Latency and size distributions (fixed buckets; see DESIGN.md §11).
-	QueueSeconds obs.HistogramSnapshot `json:"queueSeconds"`
-	RunSeconds   obs.HistogramSnapshot `json:"runSeconds"`
-	QueueDepths  obs.HistogramSnapshot `json:"queueDepths"`
-	// QueueDepthsSampled is the timer-sampled (time-weighted) queue-depth
-	// distribution, beside the per-enqueue QueueDepths.
-	QueueDepthsSampled obs.HistogramSnapshot `json:"queueDepthsSampled"`
-	ResultBytes        obs.HistogramSnapshot `json:"resultBytes"`
-	SnapshotBytes      obs.HistogramSnapshot `json:"snapshotBytes"`
+	QueueSeconds  obs.HistogramSnapshot `json:"queueSeconds"`
+	RunSeconds    obs.HistogramSnapshot `json:"runSeconds"`
+	QueueDepths   obs.HistogramSnapshot `json:"queueDepths"`
+	ResultBytes   obs.HistogramSnapshot `json:"resultBytes"`
+	SnapshotBytes obs.HistogramSnapshot `json:"snapshotBytes"`
 }
 
 // AvgQueueSeconds returns the mean submit→pickup latency.
@@ -186,35 +179,33 @@ func (s *Service) Metrics() MetricsSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := MetricsSnapshot{
-		JobsRun:            s.met.jobsRun,
-		JobsCached:         s.met.jobsCached,
-		JobsFailed:         s.met.jobsFailed,
-		JobsCanceled:       s.met.jobsCanceled,
-		QueueDepth:         len(s.queue),
-		Workers:            s.opts.Workers,
-		QueueSecondsTotal:  float64(s.met.queueNanos) / 1e9,
-		QueueSamples:       s.met.queueCount,
-		RunSecondsTotal:    float64(s.met.runNanos) / 1e9,
-		RunSamples:         s.met.runCount,
-		WarmStartHits:      s.met.warmHits,
-		WarmStartMisses:    s.met.warmMisses,
-		WarmSnapshots:      len(s.warm),
-		WarmCyclesSaved:    s.met.warmCyclesSaved,
-		PanicsRecovered:    s.met.panicsRecovered,
-		JobsRetried:        s.met.jobsRetried,
-		JobsShed:           s.met.jobsShed,
-		DegradedRuns:       s.met.degradedRuns,
-		Shedding:           s.shedding,
-		CacheBytes:         s.met.cacheBytes,
-		CacheCapacity:      s.opts.CacheCapacity,
-		CacheEvictions:     s.met.cacheEvictions,
-		StorePublishDrops:  s.met.storePublishDrops,
-		QueueSeconds:       s.met.queueSecondsHist.Snapshot(),
-		RunSeconds:         s.met.runSecondsHist.Snapshot(),
-		QueueDepths:        s.met.queueDepthHist.Snapshot(),
-		QueueDepthsSampled: s.met.queueDepthSampledHist.Snapshot(),
-		ResultBytes:        s.met.resultBytesHist.Snapshot(),
-		SnapshotBytes:      s.met.snapshotBytesHist.Snapshot(),
+		JobsRun:           s.met.jobsRun,
+		JobsCached:        s.met.jobsCached,
+		JobsFailed:        s.met.jobsFailed,
+		JobsCanceled:      s.met.jobsCanceled,
+		QueueDepth:        len(s.queue),
+		Workers:           s.opts.Workers,
+		QueueSecondsTotal: float64(s.met.queueNanos) / 1e9,
+		QueueSamples:      s.met.queueCount,
+		RunSecondsTotal:   float64(s.met.runNanos) / 1e9,
+		RunSamples:        s.met.runCount,
+		WarmStartHits:     s.met.warmHits,
+		WarmStartMisses:   s.met.warmMisses,
+		WarmSnapshots:     len(s.warm),
+		WarmCyclesSaved:   s.met.warmCyclesSaved,
+		PanicsRecovered:   s.met.panicsRecovered,
+		JobsShed:          s.met.jobsShed,
+		DegradedRuns:      s.met.degradedRuns,
+		Shedding:          s.shedding,
+		CacheBytes:        s.met.cacheBytes,
+		CacheCapacity:     s.opts.CacheCapacity,
+		CacheEvictions:    s.met.cacheEvictions,
+		StorePublishDrops: s.met.storePublishDrops,
+		QueueSeconds:      s.met.queueSecondsHist.Snapshot(),
+		RunSeconds:        s.met.runSecondsHist.Snapshot(),
+		QueueDepths:       s.met.queueDepthHist.Snapshot(),
+		ResultBytes:       s.met.resultBytesHist.Snapshot(),
+		SnapshotBytes:     s.met.snapshotBytesHist.Snapshot(),
 	}
 	snap.JournalReplayedJobs = s.met.journalReplayed
 	if s.store != nil {
@@ -282,9 +273,6 @@ func (m MetricsSnapshot) Prometheus() string {
 	w("# HELP kagura_panics_recovered_total Compute panics recovered by workers.\n")
 	w("# TYPE kagura_panics_recovered_total counter\n")
 	w("kagura_panics_recovered_total %d\n", m.PanicsRecovered)
-	w("# HELP kagura_jobs_retried_total Retry attempts after transient failures.\n")
-	w("# TYPE kagura_jobs_retried_total counter\n")
-	w("kagura_jobs_retried_total %d\n", m.JobsRetried)
 	w("# HELP kagura_jobs_shed_total Submissions rejected by the load-shedding breaker.\n")
 	w("# TYPE kagura_jobs_shed_total counter\n")
 	w("kagura_jobs_shed_total %d\n", m.JobsShed)
@@ -389,9 +377,6 @@ func (m MetricsSnapshot) Prometheus() string {
 	w("# HELP kagura_queue_depth_observed Queue depth sampled at each enqueue.\n")
 	w("# TYPE kagura_queue_depth_observed histogram\n")
 	m.QueueDepths.WritePrometheus(&b, "kagura_queue_depth_observed", "")
-	w("# HELP kagura_queue_depth_sampled Queue depth sampled on a timer tick (time-weighted).\n")
-	w("# TYPE kagura_queue_depth_sampled histogram\n")
-	m.QueueDepthsSampled.WritePrometheus(&b, "kagura_queue_depth_sampled", "")
 	w("# HELP kagura_result_bytes Estimated retained size of each cached result.\n")
 	w("# TYPE kagura_result_bytes histogram\n")
 	m.ResultBytes.WritePrometheus(&b, "kagura_result_bytes", "")

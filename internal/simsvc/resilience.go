@@ -11,8 +11,8 @@ import (
 // Fault-injection points instrumenting the service (DESIGN.md §10 catalogs
 // them). Disabled — the production default — each is one atomic load.
 var (
-	// fpCompute fires at the start of every compute attempt (error, panic, or
-	// latency faults exercise retry, recover, and timeout paths).
+	// fpCompute fires at the start of every compute (error, panic, or latency
+	// faults exercise the fail-fast, recover, and timeout paths).
 	fpCompute = faultinject.Point("simsvc.compute")
 	// fpCacheInsert fires after a successful compute, before the result is
 	// published to the cache.
@@ -132,22 +132,9 @@ func (s *Service) badSpec(err error) error {
 	return &specError{err: err}
 }
 
-// panicError wraps a recovered compute panic. It is retryable: a panic is a
-// crash, and the service's job is to survive crashes.
+// panicError wraps a recovered compute panic. The job fails with code panic
+// and the worker survives to run the next job; the panic is not retried,
+// because a pure compute would panic again.
 type panicError struct{ val any }
 
 func (e *panicError) Error() string { return fmt.Sprintf("simsvc: job panicked: %v", e.val) }
-
-// retryable reports whether a compute failure is worth retrying: recovered
-// panics and transient errors (anything exposing Temporary() true, which
-// includes injected faults). Plain errors — validation failures,
-// deterministic simulation errors — are not retried: the simulator is a pure
-// function, so a deterministic failure fails identically every time.
-func retryable(err error) bool {
-	var pe *panicError
-	if errors.As(err, &pe) {
-		return true
-	}
-	var tmp interface{ Temporary() bool }
-	return errors.As(err, &tmp) && tmp.Temporary()
-}

@@ -27,61 +27,88 @@ func armChaos(t *testing.T, p faultinject.Plan) {
 	t.Cleanup(faultinject.Disable)
 }
 
-// fastRetry returns options with millisecond backoff so retry tests run fast.
-func fastRetry(opts Options) Options {
-	opts.RetryBaseDelay = time.Millisecond
-	opts.RetryMaxDelay = 4 * time.Millisecond
-	return opts
-}
-
-func TestRetryRecoversTransientFailure(t *testing.T) {
-	svc := newTestService(t, fastRetry(Options{Workers: 1, RetryMax: 2}))
-	var attempts atomic.Int64
+// checkFailsFast pins the fail-fast contract for one failure kind: the first
+// compute of a key fails with fail, the job settles after exactly one
+// attempt with its taxonomy code and error text, the single worker survives
+// to run the next job, and the cleared cache slot makes a resubmission of the
+// same key recompute (the second compute succeeds).
+func checkFailsFast(t *testing.T, fail func() (*ehs.Result, error), code ErrorCode, text string, panics int64) {
+	t.Helper()
+	svc := newTestService(t, Options{Workers: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var calls atomic.Int64
 	flaky := func(ctx context.Context) (*ehs.Result, error) {
-		if attempts.Add(1) < 3 {
-			return nil, &faultinject.InjectedError{Point: "test", Occurrence: attempts.Load()}
+		if calls.Add(1) == 1 {
+			return fail()
 		}
 		return &ehs.Result{Completed: true}, nil
 	}
-	res, _, err := svc.Do(context.Background(), "transient", flaky)
-	if err != nil {
-		t.Fatalf("job failed despite retry budget: %v", err)
-	}
-	if !res.Completed {
-		t.Fatal("wrong result")
-	}
-	if got := attempts.Load(); got != 3 {
-		t.Fatalf("attempts = %d, want 3 (1 + 2 retries)", got)
-	}
-	if m := svc.Metrics(); m.JobsRetried != 2 {
-		t.Fatalf("JobsRetried = %d, want 2", m.JobsRetried)
-	}
-}
 
-func TestPanicRecoveredAndRetried(t *testing.T) {
-	svc := newTestService(t, fastRetry(Options{Workers: 1, RetryMax: 2}))
-	var attempts atomic.Int64
-	panicky := func(ctx context.Context) (*ehs.Result, error) {
-		if attempts.Add(1) == 1 {
-			panic("injected kaboom")
-		}
-		return &ehs.Result{Completed: true}, nil
+	_, _, err := svc.Do(ctx, "flaky", flaky)
+	if err == nil {
+		t.Fatal("expected failure")
 	}
-	if _, _, err := svc.Do(context.Background(), "panicky", panicky); err != nil {
-		t.Fatalf("job failed despite panic retry: %v", err)
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("failed compute ran %d times, want 1", got)
+	}
+	if got := Classify(err); got != code {
+		t.Fatalf("Classify(%v) = %s, want %s", err, got, code)
+	}
+	if !strings.Contains(err.Error(), text) {
+		t.Fatalf("error text = %q, want it to contain %q", err, text)
 	}
 	m := svc.Metrics()
-	if m.PanicsRecovered != 1 {
-		t.Fatalf("PanicsRecovered = %d, want 1", m.PanicsRecovered)
+	if m.PanicsRecovered != panics {
+		t.Fatalf("PanicsRecovered = %d, want %d", m.PanicsRecovered, panics)
 	}
-	if m.JobsRetried != 1 {
-		t.Fatalf("JobsRetried = %d, want 1", m.JobsRetried)
+	if m.JobsFailed != 1 || m.Errors[string(code)] != 1 {
+		t.Fatalf("JobsFailed = %d, Errors[%s] = %d; want 1 and 1", m.JobsFailed, code, m.Errors[string(code)])
+	}
+
+	// The single worker survived the failure and runs the next job.
+	if res, _, err := svc.Do(ctx, "next", func(context.Context) (*ehs.Result, error) {
+		return &ehs.Result{Completed: true}, nil
+	}); err != nil || !res.Completed {
+		t.Fatalf("worker did not run the next job: res=%v err=%v", res, err)
+	}
+
+	// The failure cleared the slot: resubmitting recomputes.
+	res, cached, err := svc.Do(ctx, "flaky", flaky)
+	if err != nil || !res.Completed || cached {
+		t.Fatalf("resubmission: res=%v cached=%v err=%v, want a fresh computation", res, cached, err)
+	}
+	if got := calls.Load(); got != 2 {
+		t.Fatalf("compute calls = %d after resubmission, want 2", got)
 	}
 }
 
+// TestRetryRecoversTransientFailure: the service does not retry an injected
+// (transient) fault itself; the job fails once with fault_injected and the
+// client's retry — a resubmission of the same key — recovers it.
+func TestRetryRecoversTransientFailure(t *testing.T) {
+	checkFailsFast(t, func() (*ehs.Result, error) {
+		return nil, &faultinject.InjectedError{Point: "test", Occurrence: 1}
+	}, CodeFaultInjected, "faultinject: injected error at test (occurrence 1)", 0)
+}
+
+// TestPanicRecoveredAndRetried: a compute panic is recovered (the worker
+// lives on), fails the job once with code panic, and a resubmission of the
+// same key recomputes.
+func TestPanicRecoveredAndRetried(t *testing.T) {
+	checkFailsFast(t, func() (*ehs.Result, error) { panic("injected kaboom") },
+		CodePanic, "simsvc: job panicked: injected kaboom", 1)
+}
+
+// TestPanicExhaustsRetries: there is no retry budget, so a compute that
+// always panics is terminal after its single attempt.
 func TestPanicExhaustsRetries(t *testing.T) {
-	svc := newTestService(t, fastRetry(Options{Workers: 1, RetryMax: 1}))
-	always := func(ctx context.Context) (*ehs.Result, error) { panic("forever broken") }
+	svc := newTestService(t, Options{Workers: 1})
+	var calls atomic.Int64
+	always := func(ctx context.Context) (*ehs.Result, error) {
+		calls.Add(1)
+		panic("forever broken")
+	}
 	_, _, err := svc.Do(context.Background(), "doomed", always)
 	if err == nil {
 		t.Fatal("expected failure")
@@ -92,76 +119,23 @@ func TestPanicExhaustsRetries(t *testing.T) {
 	if code := Classify(err); code != CodePanic {
 		t.Fatalf("Classify = %s, want %s", code, CodePanic)
 	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("panicking compute ran %d times, want 1", got)
+	}
 	m := svc.Metrics()
-	if m.PanicsRecovered != 2 {
-		t.Fatalf("PanicsRecovered = %d, want 2 (attempt + retry)", m.PanicsRecovered)
+	if m.PanicsRecovered != 1 {
+		t.Fatalf("PanicsRecovered = %d, want 1", m.PanicsRecovered)
 	}
 	if m.Errors["panic"] != 1 {
 		t.Fatalf("Errors[panic] = %d, want 1", m.Errors["panic"])
 	}
 }
 
-// TestPlainErrorsNotRetried pins the retry policy's scope: deterministic
-// failures run exactly once (the simulator is a pure function).
+// TestPlainErrorsNotRetried: a deterministic failure runs exactly once (the
+// simulator is a pure function) and classifies as internal.
 func TestPlainErrorsNotRetried(t *testing.T) {
-	svc := newTestService(t, fastRetry(Options{Workers: 1, RetryMax: 3}))
-	var attempts atomic.Int64
-	deterministic := func(ctx context.Context) (*ehs.Result, error) {
-		attempts.Add(1)
-		return nil, errors.New("bad geometry")
-	}
-	if _, _, err := svc.Do(context.Background(), "det-fail", deterministic); err == nil {
-		t.Fatal("expected failure")
-	}
-	if got := attempts.Load(); got != 1 {
-		t.Fatalf("deterministic failure ran %d times, want 1", got)
-	}
-}
-
-// TestCancelAbortsRetryBackoff is the satellite regression: canceling a job
-// parked in its retry backoff must settle it immediately — the retry must
-// not fire after cancellation, and the wait must not run out its (here
-// absurdly long) backoff delay.
-func TestCancelAbortsRetryBackoff(t *testing.T) {
-	svc := newTestService(t, Options{
-		Workers: 1, RetryMax: 3,
-		RetryBaseDelay: time.Hour, RetryMaxDelay: time.Hour,
-	})
-	var attempts atomic.Int64
-	transient := func(ctx context.Context) (*ehs.Result, error) {
-		attempts.Add(1)
-		return nil, &faultinject.InjectedError{Point: "test", Occurrence: 1}
-	}
-	job, err := svc.submit(nil, "backoff-cancel", transient, 0, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for attempts.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first attempt never ran")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// The attempt has failed; give the worker a moment to enter the backoff
-	// wait (two mutex hops away), then cancel into it.
-	time.Sleep(100 * time.Millisecond)
-	if err := svc.Cancel(job.ID()); err != nil {
-		t.Fatal(err)
-	}
-	waitCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	start := time.Now()
-	_, werr := job.Wait(waitCtx)
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("cancellation took %s to settle a job in backoff", elapsed)
-	}
-	if !errors.Is(werr, context.Canceled) {
-		t.Fatalf("canceled job settled with %v, want context.Canceled", werr)
-	}
-	if got := attempts.Load(); got != 1 {
-		t.Fatalf("retry fired after cancellation: %d attempts", got)
-	}
+	checkFailsFast(t, func() (*ehs.Result, error) { return nil, errors.New("bad geometry") },
+		CodeInternal, "bad geometry", 0)
 }
 
 func TestLoadSheddingBreaker(t *testing.T) {
@@ -593,7 +567,6 @@ func TestMetricsExposeResilienceSeries(t *testing.T) {
 	text := svc.Metrics().Prometheus()
 	for _, want := range []string{
 		"kagura_panics_recovered_total 0\n",
-		"kagura_jobs_retried_total 0\n",
 		"kagura_jobs_shed_total 0\n",
 		"kagura_degraded_runs 0\n",
 		"kagura_shedding 0\n",
@@ -619,21 +592,20 @@ func TestInjectedComputePanicIsRecovered(t *testing.T) {
 	armChaos(t, faultinject.Plan{Seed: 21, Rules: []faultinject.Rule{
 		{Point: "simsvc.compute", Kind: faultinject.KindPanic, Every: 1, Message: "drill crash"},
 	}})
-	svc := newTestService(t, fastRetry(Options{Workers: 1, RetryMax: 1}))
+	svc := newTestService(t, Options{Workers: 1})
 	_, _, err := svc.Do(context.Background(), "inj-panic", func(ctx context.Context) (*ehs.Result, error) {
 		return &ehs.Result{Completed: true}, nil
 	})
 	if err == nil {
-		t.Fatal("every attempt panics; the job cannot succeed")
+		t.Fatal("every compute panics; the job cannot succeed")
 	}
 	if code := Classify(err); code != CodePanic {
 		t.Fatalf("Classify = %s, want %s", code, CodePanic)
 	}
-	m := svc.Metrics()
-	if m.PanicsRecovered != 2 {
-		t.Fatalf("PanicsRecovered = %d, want 2 (attempt + retry)", m.PanicsRecovered)
+	if m := svc.Metrics(); m.PanicsRecovered != 1 {
+		t.Fatalf("PanicsRecovered = %d, want 1", m.PanicsRecovered)
 	}
-	if m.JobsRetried != 1 {
-		t.Fatalf("JobsRetried = %d, want 1", m.JobsRetried)
+	if got := faultinject.Fires("simsvc.compute"); got != 1 {
+		t.Fatalf("simsvc.compute fired %d times, want 1 (no second attempt)", got)
 	}
 }

@@ -42,7 +42,6 @@ import (
 	"kagura/internal/ehs"
 	"kagura/internal/journal"
 	"kagura/internal/obs"
-	"kagura/internal/rng"
 	"kagura/internal/store"
 )
 
@@ -102,23 +101,6 @@ type Options struct {
 	// warm-start memory budget.
 	WarmStartCapacity int
 
-	// RetryMax bounds retries after a transient compute failure — a
-	// recovered panic or an error exposing Temporary() true. Deterministic
-	// failures are never retried: the simulator is a pure function, so they
-	// fail identically every time. Default 2 (three attempts total); -1
-	// disables retries.
-	RetryMax int
-	// RetryBaseDelay is the first retry's backoff (default 25ms); each
-	// further retry doubles it, capped at RetryMaxDelay (default 2s), with
-	// seeded jitter in [d/2, d). The wait aborts instantly when the job is
-	// canceled.
-	RetryBaseDelay time.Duration
-	// RetryMaxDelay caps the exponential backoff (default 2s).
-	RetryMaxDelay time.Duration
-	// RetrySeed seeds the jitter stream (default 1); fixed so a given
-	// service configuration backs off reproducibly.
-	RetrySeed uint64
-
 	// ShedHighWater opens the load-shedding breaker when queue occupancy
 	// reaches this fraction of QueueDepth (default 0.9): submissions fail
 	// fast with ErrOverloaded instead of absorbing the last queue slots.
@@ -145,12 +127,6 @@ type Options struct {
 	// serving path: persistence is best-effort, serving is not.
 	StorePublishDepth int
 
-	// QueueSampleInterval, when positive, samples queue depth on a timer
-	// into the kagura_queue_depth_sampled histogram — a time-weighted view
-	// beside the per-enqueue kagura_queue_depth_observed. 0 disables the
-	// sampler; SampleQueueDepth can always be driven manually.
-	QueueSampleInterval time.Duration
-
 	// Journal, when non-nil, is the durable intent log the service writes
 	// through on job submit and settle (see journal.go for the replay
 	// invariant). The journal is owned by the caller — typically opened by
@@ -160,11 +136,10 @@ type Options struct {
 	Journal *journal.Journal
 
 	// Logger, when non-nil, receives structured job lifecycle events
-	// (submit, retry, finish) carrying the job ID, cache key, taxonomy error
-	// code, and attempt count. Nil — the default, and what benchmarks run
-	// with — disables logging entirely; the instrumentation then costs one
-	// nil check per event. kagura-serve wires a JSON handler behind
-	// -log-json.
+	// (submit, finish) carrying the job ID, cache key, and taxonomy error
+	// code. Nil — the default, and what benchmarks run with — disables
+	// logging entirely; the instrumentation then costs one nil check per
+	// event. kagura-serve wires a JSON handler behind -log-json.
 	Logger *slog.Logger
 }
 
@@ -197,21 +172,6 @@ func (o Options) withDefaults() Options {
 	if o.WarmStartCapacity <= 0 {
 		o.WarmStartCapacity = 64
 	}
-	if o.RetryMax == 0 {
-		o.RetryMax = 2
-	}
-	if o.RetryMax < 0 {
-		o.RetryMax = 0 // -1 and below mean "no retries"
-	}
-	if o.RetryBaseDelay <= 0 {
-		o.RetryBaseDelay = 25 * time.Millisecond
-	}
-	if o.RetryMaxDelay <= 0 {
-		o.RetryMaxDelay = 2 * time.Second
-	}
-	if o.RetrySeed == 0 {
-		o.RetrySeed = 1
-	}
 	if o.ShedHighWater <= 0 || o.ShedHighWater > 1 {
 		o.ShedHighWater = 0.9
 	}
@@ -241,8 +201,8 @@ type Job struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	// trace is the job's phase timeline (queued → warm-start → compute per
-	// attempt → backoff), self-synchronized; GET /v1/jobs/{id} exposes it.
+	// trace is the job's phase timeline (queued → store → warm-start →
+	// compute), self-synchronized; GET /v1/jobs/{id} exposes it.
 	trace *obs.Trace
 
 	// Guarded by Service.mu until done closes.
@@ -256,9 +216,6 @@ type Job struct {
 	created   time.Time
 	started   time.Time
 	finished  time.Time
-	// attempts counts compute attempts actually started (0 until a worker
-	// picks the job up; 1 + retries after).
-	attempts int
 	// journaled marks a job whose submit record reached the intent journal;
 	// only such jobs append settles. On owner promotion (Cancel) the flag
 	// transfers to the promoted waiter along with the cache entry.
@@ -305,7 +262,7 @@ type JobStatus struct {
 	Spec               *RunSpec   `json:"spec,omitempty"`
 	Result             *RunResult `json:"result,omitempty"`
 	// Trace is the job's phase timeline: contiguous queued/coalesced/cached/
-	// warmstart/compute/backoff spans whose durations sum to the job's wall
+	// store/warmstart/compute spans whose durations sum to the job's wall
 	// time. A live job's open span is reported through the snapshot instant.
 	Trace []obs.Span `json:"trace,omitempty"`
 }
@@ -348,8 +305,6 @@ type Service struct {
 	met      metrics
 	// shedding is the load-shedding breaker state (see Options.ShedHighWater).
 	shedding bool
-	// retryRng draws backoff jitter; seeded, so backoff is reproducible.
-	retryRng *rng.Source
 
 	// Warm-start snapshot cache: (base spec, cycle) → singleflight entry,
 	// with FIFO eviction order.
@@ -384,18 +339,12 @@ func New(opts Options) *Service {
 		jobs:    make(map[string]*Job),
 		warm:    make(map[warmKey]*warmEntry),
 		jnl:     opts.Journal,
-
-		retryRng: rng.New(opts.RetrySeed),
 	}
 	s.met.init()
 	s.openStore()
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
-	}
-	if opts.QueueSampleInterval > 0 {
-		s.wg.Add(1)
-		go s.queueSampler(opts.QueueSampleInterval)
 	}
 	return s
 }
@@ -730,7 +679,6 @@ func (s *Service) logFinish(job *Job) {
 		slog.String("job", job.id),
 		slog.String("key", job.key),
 		slog.String("state", string(job.state)),
-		slog.Int("attempts", job.attempts),
 	}
 	if job.err != nil {
 		attrs = append(attrs, slog.String("code", string(Classify(job.err))))
@@ -917,7 +865,6 @@ func (s *Service) runJob(job *Job) {
 	}
 	job.state = StateRunning
 	job.started = time.Now()
-	job.attempts = 1
 	s.met.queueNanos += job.started.Sub(job.created).Nanoseconds()
 	s.met.queueCount++
 	s.met.queueSecondsHist.Observe(job.started.Sub(job.created).Seconds())
@@ -927,7 +874,7 @@ func (s *Service) runJob(job *Job) {
 	// a previous run (or process). A hit skips the simulation entirely; the
 	// result then publishes into the memory LRU like a computed one, but is
 	// not written back to the disk it came from (fromStore).
-	attemptStart := job.started
+	computeStart := job.started
 	if s.store != nil {
 		job.trace.Begin(obs.PhaseStore, job.started)
 		if res, ok := s.storeGetResult(job.key); ok {
@@ -937,12 +884,12 @@ func (s *Service) runJob(job *Job) {
 			s.finishJob(job, res, nil)
 			return
 		}
-		attemptStart = time.Now()
+		computeStart = time.Now()
 	}
-	job.trace.BeginAttempt(1, obs.PhaseCompute, attemptStart)
+	job.trace.Begin(obs.PhaseCompute, computeStart)
 
 	// Carry the trace so compute paths (warm-start snapshot resolution) can
-	// open their own phases inside the attempt.
+	// open their own phases inside the compute span.
 	ctx := obs.WithTrace(job.ctx, job.trace)
 	if job.timeout > 0 {
 		var cancel context.CancelFunc
@@ -951,70 +898,27 @@ func (s *Service) runJob(job *Job) {
 	}
 	// The injection points run inside safeCompute's recover shield: an
 	// injected panic must be indistinguishable from a compute crash, not a
-	// worker kill.
-	attempt := func() (*ehs.Result, error) {
-		return s.safeCompute(ctx, func(ctx context.Context) (*ehs.Result, error) {
-			if ierr := fpCompute.Fire(ctx); ierr != nil {
+	// worker kill. A failure settles the job now, with its taxonomy code: the
+	// simulator is a pure function, so a second attempt would fail the same
+	// way, and the cleared cache slot lets a client that resubmits recompute.
+	res, err := s.safeCompute(ctx, func(ctx context.Context) (*ehs.Result, error) {
+		if ierr := fpCompute.Fire(ctx); ierr != nil {
+			return nil, ierr
+		}
+		res, err := job.compute(ctx)
+		if err == nil {
+			if ierr := fpCacheInsert.Fire(ctx); ierr != nil {
 				return nil, ierr
 			}
-			res, err := job.compute(ctx)
-			if err == nil {
-				if ierr := fpCacheInsert.Fire(ctx); ierr != nil {
-					return nil, ierr
-				}
-			}
-			return res, err
-		})
-	}
-	res, err := attempt()
-	for tries := 1; err != nil && tries <= s.opts.RetryMax && retryable(err) && ctx.Err() == nil; tries++ {
-		job.trace.Begin(obs.PhaseBackoff, time.Now())
-		if !s.backoff(ctx, tries) {
-			// Canceled mid-backoff: settle as canceled now — the retry must
-			// not fire after cancellation.
-			err = ctx.Err()
-			break
 		}
-		s.mu.Lock()
-		s.met.jobsRetried++
-		job.attempts = tries + 1
-		s.mu.Unlock()
-		s.logEvent("job.retry", slog.String("job", job.id), slog.String("key", job.key),
-			slog.Int("attempt", tries+1), slog.String("code", string(Classify(err))))
-		job.trace.BeginAttempt(tries+1, obs.PhaseCompute, time.Now())
-		res, err = attempt()
-	}
+		return res, err
+	})
 	s.finishJob(job, res, err)
 }
 
-// backoff waits out the capped exponential backoff before retry number
-// `attempt`, with seeded jitter in [d/2, d). Returns false immediately if
-// ctx is canceled first.
-func (s *Service) backoff(ctx context.Context, attempt int) bool {
-	d := s.opts.RetryBaseDelay
-	for i := 1; i < attempt && d < s.opts.RetryMaxDelay; i++ {
-		d *= 2
-	}
-	if d > s.opts.RetryMaxDelay {
-		d = s.opts.RetryMaxDelay
-	}
-	s.mu.Lock()
-	jitter := s.retryRng.Float64()
-	s.mu.Unlock()
-	d = d/2 + time.Duration(float64(d/2)*jitter)
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
 // safeCompute shields the worker pool from panicking compute functions. The
-// recovered panic surfaces as a retryable *panicError and is counted in
-// kagura_panics_recovered_total.
+// recovered panic surfaces as a *panicError (taxonomy code panic) and is
+// counted in kagura_panics_recovered_total.
 func (s *Service) safeCompute(ctx context.Context, compute func(context.Context) (*ehs.Result, error)) (res *ehs.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -1083,7 +987,7 @@ func (s *Service) finishJobLocked(job *Job, res *ehs.Result, err error, now time
 	}
 
 	// Resolve the cache entry this job owns. Success publishes the result;
-	// failure clears the slot so a retry can recompute. Coalesced waiters
+	// failure clears the slot so a resubmission recomputes. Coalesced waiters
 	// inherit the owner's outcome, successes counting as cache hits.
 	settleKey := ""
 	if ownsEntry {

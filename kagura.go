@@ -201,7 +201,7 @@ type (
 	// `code` field of /v1 error responses and kagura_errors_total{code}.
 	ServiceErrorCode = simsvc.ErrorCode
 	// TraceSpan is one phase interval of a job's trace (JobStatus.Trace):
-	// queued/coalesced/cached/warmstart/compute/backoff, contiguous, summing
+	// queued/coalesced/cached/store/warmstart/compute, contiguous, summing
 	// to the job's wall time.
 	TraceSpan = obs.Span
 )
