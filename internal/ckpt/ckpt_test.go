@@ -76,6 +76,17 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(snap, got) {
 		t.Error("decode(encode(snap)) != snap")
 	}
+	// A snapshot with empty caches still carries their stats and victim
+	// seeds; the decoder must read them rather than stop at the zero set
+	// count.
+	empty := &ehs.Snapshot{}
+	data, err = Encode(empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Decode(data); err != nil || !reflect.DeepEqual(empty, got) {
+		t.Errorf("empty snapshot round trip: err %v, equal %v", err, reflect.DeepEqual(empty, got))
+	}
 }
 
 func TestEncodeDeterministic(t *testing.T) {
@@ -137,6 +148,10 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"truncated":       data[:len(data)/2],
 		"trailing bytes":  append(append([]byte(nil), data...), 0),
 		"oversized count": append(append([]byte(nil), data[:10]...), 0xFF, 0xFF, 0xFF, 0xFF),
+		// Prefixes at and past 2³¹ go negative as a 32-bit int; they must
+		// fail the bound, not slice out of range.
+		"count 2^31":   append(append([]byte(nil), data[:10]...), 0x00, 0x00, 0x00, 0x80),
+		"count 2^31+1": append(append([]byte(nil), data[:10]...), 0x01, 0x00, 0x00, 0x80),
 	}
 	for name, input := range cases {
 		if _, err := Decode(input); err == nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"kagura/internal/ehs"
+	"kagura/internal/wire"
 )
 
 // updateGolden re-records the golden encodings from a fresh simulation:
@@ -35,7 +36,7 @@ func readGolden(t *testing.T, path string, record func() []byte) []byte {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteFileAtomic(path, record(), 0o644); err != nil {
+		if err := wire.WriteFileAtomic(path, record(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

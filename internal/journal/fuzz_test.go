@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"testing"
 )
@@ -56,6 +57,12 @@ func FuzzJournalDecode(f *testing.F) {
 				f.Add(flipped)
 			}
 		}
+	}
+	// Length prefixes at and past 2³¹, which go negative as a 32-bit int.
+	for _, n := range []uint32{1 << 31, 1<<31 + 1, 1<<32 - 1} {
+		huge := append([]byte(nil), blobs[0]...)
+		binary.LittleEndian.PutUint32(huge[1:], n)
+		f.Add(huge)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, n, err := DecodeRecord(data)

@@ -11,7 +11,7 @@ import (
 	"reflect"
 	"testing"
 
-	"kagura/internal/ckpt"
+	"kagura/internal/wire"
 )
 
 // updateGolden re-records the golden segment through the journal's own
@@ -71,7 +71,7 @@ func TestGoldenSegment(t *testing.T) {
 		if err := os.MkdirAll(filepath.Dir(goldenSegment), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := ckpt.WriteFileAtomic(goldenSegment, seg, 0o644); err != nil {
+		if err := wire.WriteFileAtomic(goldenSegment, seg, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,7 +13,7 @@
 // recomputation (replay is idempotent, the content-addressed cache and store
 // tier make it cheap), a lost settle causes one redundant resubmit that
 // immediately coalesces or hits the cache. The segment is fsynced at
-// compaction (via ckpt.WriteFileAtomic) and on Close, so a graceful shutdown
+// compaction (via wire.WriteFileAtomic) and on Close, so a graceful shutdown
 // leaves a fully synced log.
 //
 // Corruption model, mirroring the store tier: a torn or bit-flipped tail is
@@ -31,8 +31,8 @@ import (
 	"path/filepath"
 	"sync"
 
-	"kagura/internal/ckpt"
 	"kagura/internal/faultinject"
+	"kagura/internal/wire"
 )
 
 // Fault points. "journal.replay" is declared by simsvc, which owns the
@@ -252,7 +252,7 @@ func (j *Journal) Append(rec Record) error {
 
 // rotateLocked compacts the segment: the folded state is rewritten as a
 // fresh segment (settles and finished campaigns disappear) through
-// ckpt.WriteFileAtomic, so a crash at any instant leaves either the old or
+// wire.WriteFileAtomic, so a crash at any instant leaves either the old or
 // the new segment — never a mix. Rotation failures are absorbed: the
 // oversized segment stays valid, and rotateAbove defers the retry.
 func (j *Journal) rotateLocked() {
@@ -280,7 +280,7 @@ func (j *Journal) rotateLocked() {
 	if int64(len(buf)) >= j.size {
 		return
 	}
-	if err := ckpt.WriteFileAtomic(j.path, buf, 0o644); err != nil {
+	if err := wire.WriteFileAtomic(j.path, buf, 0o644); err != nil {
 		return
 	}
 	// The rename replaced the inode our append fd points at; reopen so new

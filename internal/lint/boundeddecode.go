@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // BoundedDecode enforces allocation-bounded decoding — the invariant
@@ -15,16 +14,16 @@ import (
 //
 // The analyzer taint-tracks within each function body:
 //
-//   - a value is wire-tainted if it comes from a raw little-endian reader
-//     (methods named u8/u16/u32/u64/i64 in a decode package, or
-//     encoding/binary's Uint16/Uint32/Uint64), directly or through
-//     conversions and arithmetic;
-//   - taint clears when the length flows through a bounding reader helper —
-//     a method named count/count16, or any function whose doc comment
-//     carries the marker "kagura:boundedlen" (exported as a cross-package
-//     fact, so a helper declared in ckpt also sanctions store) — or when the
-//     variable is compared against anything but the constant zero before the
-//     allocation (v < max, v == want, or the guard form v > max { return });
+//   - a value is wire-tainted if it comes from a raw integer read — the
+//     exported wire.Reader reads (U8..I64), a hand-rolled reader's lowercase
+//     u8/u16/u32/u64/i64 or count/count16 methods, or encoding/binary's
+//     Uint16/Uint32/Uint64 — directly or through conversions and arithmetic;
+//   - wire.(*Reader).Count and Count16, matched by full name, are the only
+//     reads that return a bounded length: internal/wire is the one reader
+//     the module trusts, and a hand-rolled count helper is a raw read;
+//   - taint also clears when the variable is compared against anything but
+//     the constant zero before the allocation (v < max, v == want, or the
+//     guard form v > max { return });
 //   - make([]T, n) or make([]T, len, n) with a tainted size is a finding.
 //
 // A lower-bound check alone (n > 0) does not clear taint: it rejects
@@ -35,40 +34,25 @@ var BoundedDecode = &Analyzer{
 	Run:  runBoundedDecode,
 }
 
-// boundedLenMarker in a function's doc comment marks it as a sanctioned
-// length-bounding helper; the fact is exported for downstream packages.
-const boundedLenMarker = "kagura:boundedlen"
-
-// factBoundedHelper is the fact kind naming sanctioned bounding helpers by
-// their qualified name (types.Func.FullName).
-const factBoundedHelper = "boundeddecode.helper"
-
-// wireReadFuncs are the method names that read raw fixed-width integers off
-// a wire buffer in this codebase's reader idiom.
-var wireReadFuncs = map[string]bool{
+// wireReadMethods are the lowercase method names of a hand-rolled reader:
+// raw fixed-width integer reads, and count helpers whose bounding the
+// analyzer cannot see.
+var wireReadMethods = map[string]bool{
 	"u8": true, "u16": true, "u32": true, "u64": true, "i64": true,
-}
-
-// boundingFuncs are the method names that read a count and bound it against
-// the remaining input before returning it.
-var boundingFuncs = map[string]bool{
 	"count": true, "count16": true,
 }
 
+// wireReaderReads are internal/wire's exported raw integer reads, by
+// types.Func.FullName.
+var wireReaderReads = map[string]bool{
+	"(*kagura/internal/wire.Reader).U8":  true,
+	"(*kagura/internal/wire.Reader).U16": true,
+	"(*kagura/internal/wire.Reader).U32": true,
+	"(*kagura/internal/wire.Reader).U64": true,
+	"(*kagura/internal/wire.Reader).I64": true,
+}
+
 func runBoundedDecode(pass *Pass) error {
-	// Export marker-doc helpers first, so calls later in this package (and
-	// in downstream packages) resolve against the facts.
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil || !strings.Contains(fd.Doc.Text(), boundedLenMarker) {
-				continue
-			}
-			if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
-				pass.ExportFact(factBoundedHelper, fn.FullName(), fd.Pos())
-			}
-		}
-	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
@@ -123,7 +107,7 @@ func checkBoundedDecode(pass *Pass, body *ast.BlockStmt) {
 				for _, size := range n.Args[1:] {
 					if exprWireTainted(pass, tainted, size) {
 						pass.Reportf(size.Pos(), "boundeddecode",
-							"allocation sized by an unbounded wire-read length; a hostile length prefix reaches the allocator — bound it against the remaining input (reader.count idiom) before make")
+							"allocation sized by an unbounded wire-read length; a hostile length prefix reaches the allocator — read it with wire.(*Reader).Count/Count16 or bound it before make")
 					}
 				}
 			}
@@ -167,10 +151,10 @@ func exprWireTainted(pass *Pass, tainted map[types.Object]bool, e ast.Expr) bool
 		if fn == nil {
 			return false
 		}
-		if boundingFuncs[fn.Name()] || len(pass.LookupFact(factBoundedHelper, fn.FullName())) > 0 {
-			return false
+		if wireReaderReads[fn.FullName()] {
+			return true
 		}
-		if wireReadFuncs[fn.Name()] && fn.Type().(*types.Signature).Recv() != nil {
+		if wireReadMethods[fn.Name()] && fn.Type().(*types.Signature).Recv() != nil {
 			return true
 		}
 		if fn.Pkg() != nil && fn.Pkg().Path() == "encoding/binary" {

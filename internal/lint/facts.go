@@ -1,32 +1,24 @@
 package lint
 
-import (
-	"encoding/json"
-	"fmt"
-	"go/token"
-	"sort"
-)
+import "go/token"
 
 // A Fact is one cross-package statement an analyzer exports about a package's
 // declarations — "this string is a registered fault-point name", "this
-// function is a bounded-length helper", "this const is a catalogued metric
-// name". Downstream packages import the facts of their dependencies through
+// const is a catalogued metric name". Downstream packages import the facts of their dependencies through
 // the shared FactStore, which is how a single-package analyzer enforces a
-// module-wide invariant (DESIGN.md §8.5).
-//
-// Facts are deliberately flat — a (kind, value) pair plus provenance — so
-// they serialize to JSON unchanged for go vet's .vetx fact files.
+// module-wide invariant (DESIGN.md §8.5). Facts are deliberately flat: a
+// (kind, value) pair plus provenance.
 type Fact struct {
 	// Pkg is the import path of the exporting package.
-	Pkg string `json:"pkg"`
+	Pkg string
 	// Kind namespaces the fact, by convention "<analyzer>.<what>"
 	// (e.g. "faultpoint.registered", "metricstable.name").
-	Kind string `json:"kind"`
-	// Value is the payload: the registered name, the helper's qualified name.
-	Value string `json:"value"`
+	Kind string
+	// Value is the payload: the registered name, the catalogued metric.
+	Value string
 	// Pos is where the fact was exported from, for diagnostics that point
 	// back at the declaration (orphan reports).
-	Pos token.Position `json:"pos"`
+	Pos token.Position
 }
 
 // A FactStore accumulates facts across one analysis run. Packages must be
@@ -49,13 +41,6 @@ func (s *FactStore) Add(f Fact) {
 	s.facts = append(s.facts, f)
 }
 
-// AddAll records previously serialized facts (the vet-mode import path).
-func (s *FactStore) AddAll(facts []Fact) {
-	for _, f := range facts {
-		s.Add(f)
-	}
-}
-
 // OfKind returns every fact of the given kind, in export order.
 func (s *FactStore) OfKind(kind string) []Fact {
 	idxs := s.byKind[kind]
@@ -75,41 +60,4 @@ func (s *FactStore) Lookup(kind, value string) []Fact {
 		}
 	}
 	return out
-}
-
-// PkgFacts returns the facts exported by one package, sorted by kind then
-// value — the stable payload written to a .vetx file in go vet mode.
-func (s *FactStore) PkgFacts(pkg string) []Fact {
-	var out []Fact
-	for _, f := range s.facts {
-		if f.Pkg == pkg {
-			out = append(out, f)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		return out[i].Value < out[j].Value
-	})
-	return out
-}
-
-// EncodeFacts serializes facts for a .vetx fact file.
-func EncodeFacts(facts []Fact) ([]byte, error) {
-	return json.MarshalIndent(facts, "", "  ")
-}
-
-// DecodeFacts parses a .vetx fact file written by EncodeFacts. Empty input
-// decodes to no facts: vet requires the file to exist even for packages that
-// export nothing.
-func DecodeFacts(data []byte) ([]Fact, error) {
-	if len(data) == 0 {
-		return nil, nil
-	}
-	var facts []Fact
-	if err := json.Unmarshal(data, &facts); err != nil {
-		return nil, fmt.Errorf("lint: corrupt fact file: %w", err)
-	}
-	return facts, nil
 }

@@ -67,9 +67,8 @@ type Analyzer struct {
 	Run func(*Pass) error
 	// Finish, when set, runs once after every package has been analyzed and
 	// reports whole-module findings from the accumulated facts (orphans:
-	// facts exported by a registry that no package consumed). Only the
-	// standalone driver runs finishers, and only when the analyzed set
-	// covers the whole module — go vet mode has no end-of-run hook.
+	// facts exported by a registry that no package consumed). The driver
+	// runs finishers only when the analyzed set covers the whole module.
 	Finish func(*FinishPass)
 }
 
@@ -320,8 +319,7 @@ func (p *FinishPass) Reportf(pos token.Position, format string, args ...any) {
 // index per package (so unused-suppression tracking spans all analyzers).
 type Suite struct {
 	Analyzers []*Analyzer
-	// Facts accumulates cross-package facts; pre-populate via
-	// Facts.AddAll to import serialized facts (vet mode).
+	// Facts accumulates cross-package facts.
 	Facts *FactStore
 	// ReportUnusedAllow adds unusedallow diagnostics for annotations that
 	// suppressed nothing across the whole suite and annotations without a
@@ -366,8 +364,8 @@ func (s *Suite) Finish() []Diagnostic {
 }
 
 // RunAnalyzers applies every analyzer to pkg with a fresh fact store and
-// returns the new findings — the single-package entry point used by vet mode
-// and simple tests. Cross-package facts resolve only if the analyzers
+// returns the new findings — the single-package entry point used by simple
+// tests. Cross-package facts resolve only if the analyzers
 // export them while running on this same package.
 func RunAnalyzers(analyzers []*Analyzer, pkg *Package) ([]Diagnostic, error) {
 	return NewSuite(analyzers).RunPackage(pkg)

@@ -66,13 +66,13 @@ func NewLoader(dir string) (*Loader, error) {
 		ModDir:  abs,
 		fset:    fset,
 		std:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		info:    NewInfo(),
+		info:    newInfo(),
 		pkgs:    make(map[string]*Package),
 	}, nil
 }
 
-// NewInfo allocates a types.Info with every map analyzers need.
-func NewInfo() *types.Info {
+// newInfo allocates a types.Info with every map analyzers need.
+func newInfo() *types.Info {
 	return &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),

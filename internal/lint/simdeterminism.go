@@ -48,6 +48,7 @@ var CorePackages = []string{
 	"kagura/internal/obs",
 	"kagura/internal/powertrace",
 	"kagura/internal/store",
+	"kagura/internal/wire",
 	"kagura/internal/workload",
 }
 

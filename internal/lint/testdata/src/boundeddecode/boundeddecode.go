@@ -1,10 +1,15 @@
 // Package decodefixture is a fixture for the boundeddecode analyzer: a make
-// sized by a raw wire-read length is flagged; lengths bounded by a reader
-// count helper, a marker-approved helper, or an explicit comparison pass. A
+// sized by a raw wire-read length is flagged — including a hand-rolled
+// count helper, which the analyzer cannot see into; lengths from
+// wire.(*Reader).Count/Count16 or bounded by an explicit comparison pass. A
 // lower-bound check alone (n > 0) clears nothing.
 package decodefixture
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"kagura/internal/wire"
+)
 
 const maxElems = 1 << 10
 
@@ -57,14 +62,32 @@ func decodeLowerBoundOnly(r *reader) []byte {
 	return nil
 }
 
-// --- Legal patterns: everything below must produce no findings. ---
-
-func decodeCounted(r *reader) []uint64 {
+func decodeHandCounted(r *reader) []uint64 {
 	n := r.count(8)
 	if n < 0 {
 		return nil
 	}
+	return make([]uint64, n) // want `allocation sized by an unbounded wire-read length`
+}
+
+func decodeWireRaw(r *wire.Reader) []uint32 {
+	n := int(r.U32())
+	return make([]uint32, n) // want `allocation sized by an unbounded wire-read length`
+}
+
+func decodeWireWide(r *wire.Reader) []byte {
+	return make([]byte, r.I64()) // want `allocation sized by an unbounded wire-read length`
+}
+
+// --- Legal patterns: everything below must produce no findings. ---
+
+func decodeWireCounted(r *wire.Reader) []uint64 {
+	n := r.Count(8)
 	return make([]uint64, n)
+}
+
+func decodeWireCounted16(r *wire.Reader) []uint16 {
+	return make([]uint16, r.Count16(2))
 }
 
 func decodeGuarded(r *reader) []byte {
@@ -81,20 +104,6 @@ func decodeCompared(r *reader) []byte {
 		return make([]byte, n)
 	}
 	return nil
-}
-
-// boundedTake reads a count and clamps it to the remaining input, so the
-// returned length is safe to allocate. kagura:boundedlen
-func boundedTake(r *reader) int {
-	n := int(r.u32())
-	if rest := len(r.buf) - r.off; n > rest {
-		return rest
-	}
-	return n
-}
-
-func decodeViaHelper(r *reader) []byte {
-	return make([]byte, boundedTake(r))
 }
 
 func decodeSuppressed(r *reader) []byte {

@@ -9,20 +9,22 @@
 //	version   2  bytes  uint16 (this file: 1)
 //	kind      1  byte   Kind (result / checkpoint)
 //	key       4+n bytes uint32 length prefix + UTF-8 key (≤ MaxKeyLen)
-//	paylen    4  bytes  uint32 payload length
+//	paylen    4  bytes  uint32 payload length (≤ MaxPayloadLen)
 //	checksum  4  bytes  CRC-32C (Castagnoli) over the payload
 //	payload   paylen bytes
 //
-// DecodeEntry mirrors ckpt.decode's hardening: every length prefix is
+// The header is a wire header, the key a wire string, and paylen through
+// payload a wire checksummed frame — the same frame a journal record uses.
+// DecodeEntry inherits wire.Reader's hardening: every length prefix is
 // bounded by the bytes actually remaining before any allocation, unknown
 // magic/version/kind values are errors, trailing bytes are errors, and no
 // input can cause a panic (FuzzStoreDecode holds the codec to that).
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+
+	"kagura/internal/wire"
 )
 
 // Magic identifies a kagura store entry file.
@@ -37,6 +39,11 @@ const Version uint16 = 1
 // strings; 256 leaves room without letting a hostile header demand an
 // unbounded allocation.
 const MaxKeyLen = 256
+
+// MaxPayloadLen bounds an entry's payload at the largest length every GOARCH
+// can hold in an int, so a 32-bit build reads every entry a 64-bit build
+// writes. Real payloads — one result or checkpoint — are well under 1 MiB.
+const MaxPayloadLen = 1<<31 - 1
 
 // Kind tags what an entry's payload is.
 type Kind uint8
@@ -66,19 +73,12 @@ func (k Kind) String() string {
 
 func validKind(k Kind) bool { return k == KindResult || k == KindCheckpoint }
 
-// crcTable is the Castagnoli polynomial table; CRC-32C has hardware support
-// on common CPUs and reliably catches the small bit-flip corruption a torn
-// write or chaos plan produces.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// headerLen returns the exact encoded header size for a key.
-func headerLen(key string) int {
-	return len(Magic) + 2 + 1 + 4 + len(key) + 4 + 4
-}
-
 // maxHeaderLen bounds how many bytes a header can occupy — what the startup
 // scan reads per file instead of the payload.
-const maxHeaderLen = len(Magic) + 2 + 1 + 4 + MaxKeyLen + 4 + 4
+const maxHeaderLen = len(Magic) + 2 + 1 + 4 + MaxKeyLen + wire.FrameOverhead
+
+// headerLen returns the exact encoded header size for a key.
+func headerLen(key string) int { return maxHeaderLen - MaxKeyLen + len(key) }
 
 // EncodeEntry frames a payload into the on-disk entry format. The encoding
 // is deterministic: equal inputs produce equal bytes.
@@ -89,16 +89,15 @@ func EncodeEntry(kind Kind, key string, payload []byte) ([]byte, error) {
 	if len(key) == 0 || len(key) > MaxKeyLen {
 		return nil, fmt.Errorf("store: key length %d outside [1, %d]", len(key), MaxKeyLen)
 	}
-	buf := make([]byte, 0, headerLen(key)+len(payload))
-	buf = append(buf, Magic...)
-	buf = binary.LittleEndian.AppendUint16(buf, Version)
-	buf = append(buf, byte(kind))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
-	buf = append(buf, key...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	buf = append(buf, payload...)
-	return buf, nil
+	if len(payload) > MaxPayloadLen {
+		return nil, fmt.Errorf("store: payload %d bytes exceeds limit %d", len(payload), MaxPayloadLen)
+	}
+	w := make(wire.Writer, 0, headerLen(key)+len(payload))
+	w.Header(Magic, Version)
+	w.U8(uint8(kind))
+	w.Str(key)
+	w.Frame(payload)
+	return w, nil
 }
 
 // Header is the payload-free part of an entry, parsed by DecodeHeader.
@@ -117,94 +116,39 @@ type Header struct {
 // never the payload). It validates structure — magic, version, kind, key
 // bounds — but not the checksum, which requires the payload.
 func DecodeHeader(data []byte) (Header, error) {
-	var h Header
-	r := &entryReader{data: data}
-	if magic := r.take(len(Magic)); r.err == nil && string(magic) != Magic {
-		return h, fmt.Errorf("store: bad magic %q", magic)
-	}
-	if v := r.u16(); r.err == nil && v != Version {
-		return h, fmt.Errorf("store: unknown entry version %d (this build reads version %d)", v, Version)
-	}
-	kind := r.u8()
-	if r.err == nil && !validKind(Kind(kind)) {
-		return h, fmt.Errorf("store: unknown entry kind %d", kind)
-	}
-	keyLen := int(r.u32())
-	if r.err == nil && (keyLen == 0 || keyLen > MaxKeyLen) {
-		return h, fmt.Errorf("store: key length %d outside [1, %d]", keyLen, MaxKeyLen)
-	}
-	key := r.take(keyLen)
-	payLen := int(r.u32())
-	sum := r.u32()
-	if r.err != nil {
-		return h, r.err
-	}
-	h.Kind = Kind(kind)
-	h.Key = string(key)
-	h.PayloadLen = payLen
-	h.Checksum = sum
-	return h, nil
+	r := wire.NewReader("store", data)
+	h := readEntryHeader(r)
+	return h, r.Err()
 }
 
 // DecodeEntry parses and verifies a complete entry: header structure,
 // payload length against the bytes present, checksum over the payload, and
 // no trailing bytes. Any malformation is an error; no input panics.
 func DecodeEntry(data []byte) (Header, []byte, error) {
-	h, err := DecodeHeader(data)
-	if err != nil {
-		return h, nil, err
+	r := wire.NewReader("store", data)
+	h := readEntryHeader(r)
+	payload := r.FramePayload(h.PayloadLen, h.Checksum)
+	if err := r.Done(); err != nil {
+		return Header{}, nil, err
 	}
-	body := data[headerLen(h.Key):]
-	if h.PayloadLen != len(body) {
-		return h, nil, fmt.Errorf("store: header claims %d payload bytes, file holds %d", h.PayloadLen, len(body))
-	}
-	if sum := crc32.Checksum(body, crcTable); sum != h.Checksum {
-		return h, nil, fmt.Errorf("store: payload checksum %08x does not match header %08x", sum, h.Checksum)
-	}
-	return h, body, nil
+	return h, payload, nil
 }
 
-// entryReader parses header bytes, carrying the first error so decode logic
-// reads straight-line (the ckpt.reader idiom).
-type entryReader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *entryReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
+// readEntryHeader reads everything up to the payload; on error it returns
+// the zero Header, whose empty frame FramePayload then reads as a no-op.
+func readEntryHeader(r *wire.Reader) Header {
+	r.Header(Magic, Version)
+	kind := Kind(r.U8())
+	if r.Err() == nil && !validKind(kind) {
+		r.Fail("unknown entry kind %d", uint8(kind))
 	}
-	if n < 0 || len(r.data)-r.off < n {
-		r.err = fmt.Errorf("store: truncated header: need %d bytes at offset %d, have %d", n, r.off, len(r.data)-r.off)
-		return nil
+	key := r.Str(MaxKeyLen)
+	if r.Err() == nil && key == "" {
+		r.Fail("empty key")
 	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *entryReader) u8() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
+	n, sum := r.FrameHeader(MaxPayloadLen)
+	if r.Err() != nil {
+		return Header{}
 	}
-	return b[0]
-}
-
-func (r *entryReader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (r *entryReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
+	return Header{Kind: kind, Key: key, PayloadLen: n, Checksum: sum}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 )
@@ -111,6 +112,11 @@ func TestDecodeEntryRejectsDamage(t *testing.T) {
 			}
 			return b
 		}()},
+		// Prefixes at and past 2³¹ go negative as a 32-bit int; they must
+		// fail the bounds, not slice out of range.
+		{"key length 2^31+1", setU32(good, len(Magic)+2+1, 1<<31+1)},
+		{"payload length 2^31", setU32(good, hdr-8, 1<<31)},
+		{"payload length 2^32-1", setU32(good, hdr-8, 1<<32-1)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -125,6 +131,13 @@ func TestDecodeEntryRejectsDamage(t *testing.T) {
 func flip(data []byte, i int) []byte {
 	out := append([]byte{}, data...)
 	out[i] ^= 0x01
+	return out
+}
+
+// setU32 returns a copy of data with a little-endian uint32 written at i.
+func setU32(data []byte, i int, v uint32) []byte {
+	out := append([]byte{}, data...)
+	binary.LittleEndian.PutUint32(out[i:], v)
 	return out
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"kagura/internal/ckpt"
+	"kagura/internal/wire"
 )
 
 // updateGolden re-records the golden entries from the ckpt package's golden
@@ -61,7 +62,7 @@ func TestGoldenEntries(t *testing.T) {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
 				}
-				if err := ckpt.WriteFileAtomic(path, entry, 0o644); err != nil {
+				if err := wire.WriteFileAtomic(path, entry, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -13,7 +13,7 @@
 //	<dir>/checkpoint/57/<sha256(key)>.kse
 //	<dir>/quarantine/…             (corrupt entries, moved aside for forensics)
 //
-// Every write goes through ckpt.WriteFileAtomic (temp + fsync + rename), so
+// Every write goes through wire.WriteFileAtomic (temp + fsync + rename), so
 // a crash mid-publish leaves either no entry or a complete one. Reads verify
 // the framed header and payload checksum (codec.go); a corrupt or torn entry
 // is quarantined and reported as a miss — the caller degrades to recompute,
@@ -38,8 +38,8 @@ import (
 	"sort"
 	"sync"
 
-	"kagura/internal/ckpt"
 	"kagura/internal/faultinject"
+	"kagura/internal/wire"
 )
 
 // Fault-injection points on the persistence paths. Disabled — the production
@@ -310,7 +310,7 @@ func (s *Store) Put(kind Kind, key string, payload []byte) error {
 		s.met.writeErrors++
 		return fmt.Errorf("store: %w", err)
 	}
-	if err := ckpt.WriteFileAtomic(path, blob, 0o644); err != nil {
+	if err := wire.WriteFileAtomic(path, blob, 0o644); err != nil {
 		s.met.writeErrors++
 		return fmt.Errorf("store: put %s/%s: %w", kind, key, err)
 	}
