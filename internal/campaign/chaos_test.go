@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -65,6 +66,52 @@ func TestCampaignBackpressureRedispatchIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(cleanCSV, gotCSV) {
 		t.Errorf("CSV report differs under backpressure:\n%s\n---\n%s", cleanCSV, gotCSV)
+	}
+}
+
+// A chunk the service refuses outright, because another client holds the
+// whole queue, has no admitted job to pace its re-dispatch on. The engine
+// waits out the service's Retry-After estimate instead of spending its
+// re-dispatch bound in a millisecond, so the campaign completes once the
+// other client's jobs drain, with the clean run's report.
+func TestCampaignRedispatchWaitsWhenNothingAdmitted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a campaign twice")
+	}
+	faultinject.Disable()
+	cleanJSON, cleanCSV := exports(t, runCampaign(t, newTestService(t, 4), smallSpec()))
+
+	if err := faultinject.Enable(faultinject.Plan{Seed: 11, Rules: []faultinject.Rule{
+		{Point: "simsvc.compute", Kind: faultinject.KindLatency, Every: 1, LatencyMicros: 100_000},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(faultinject.Disable)
+	svc := simsvc.New(simsvc.Options{Workers: 1, QueueDepth: 2})
+	t.Cleanup(svc.Close)
+	// Another client keeps the one worker busy and holds the queue at its
+	// high-water mark, so the service refuses all work until they drain.
+	busy, err := svc.Submit(simsvc.RunSpec{App: "gsm", Scale: 0.002, Seed: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for st, _ := svc.Job(busy.ID()); st.State == simsvc.StateQueued; st, _ = svc.Job(busy.ID()) {
+		runtime.Gosched()
+	}
+	if _, err := svc.Submit(simsvc.RunSpec{App: "gsm", Scale: 0.002, Seed: 101}); err != nil {
+		t.Fatal(err)
+	}
+	met := &Metrics{}
+	rep, err := (&Runner{Svc: svc, Met: met}).Run(context.Background(), smallSpec())
+	if err != nil {
+		t.Fatalf("campaign behind another client's backlog failed: %v", err)
+	}
+	if met.Snapshot().DispatchRetries == 0 {
+		t.Fatal("no chunk was re-dispatched; the setup is not exercising a refused chunk")
+	}
+	gotJSON, gotCSV := exports(t, rep)
+	if !bytes.Equal(cleanJSON, gotJSON) || !bytes.Equal(cleanCSV, gotCSV) {
+		t.Error("report differs from the clean run")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"time"
 
 	"kagura/internal/ehs"
 	"kagura/internal/journal"
@@ -14,8 +15,8 @@ import (
 
 // maxDispatchRetries bounds how often one wave chunk is re-dispatched after
 // the service pushes back (a full queue, the load-shedding breaker).
-// Re-dispatching is idempotent: the content-addressed cache coalesces any
-// spec already in flight, so a retry never double-computes.
+// Re-dispatching is idempotent: the content-addressed cache serves every
+// spec the service already admitted, so a retry never double-computes.
 const maxDispatchRetries = 64
 
 // Runner executes campaigns against a simulation service. Met may be nil
@@ -307,10 +308,14 @@ func (r *Runner) journalDone() {
 
 // runPoints dispatches one chunk of specs as a fork-batch and waits for every
 // job in index order. Service backpressure — a full queue, the load-shedding
-// breaker — re-dispatches the whole chunk (bounded); the result cache
-// coalesces duplicates, so re-dispatched chunks settle to the same results a
-// clean dispatch produces. Any other failure, a failed job included, fails
-// the campaign with the service's taxonomy code.
+// breaker — re-dispatches the whole chunk (bounded), but only after the jobs
+// the service did admit from it have settled: their completion is what
+// drains the queue, so the re-dispatch paces itself on the service's own
+// progress, and the result cache turns the admitted points into hits. A
+// chunk of which nothing was admitted waits for the service's Retry-After
+// estimate instead. A re-dispatched chunk settles to the same results a
+// clean dispatch produces. Any other failure, a failed job included, fails the campaign
+// with the service's taxonomy code.
 func (r *Runner) runPoints(ctx context.Context, round int, indices []int, specs []simsvc.RunSpec, fork *simsvc.ForkPoint) ([]*ehs.Result, error) {
 	var jobs []*simsvc.Job
 	for attempt := 0; ; attempt++ {
@@ -324,6 +329,17 @@ func (r *Runner) runPoints(ctx context.Context, round int, indices []int, specs 
 		if attempt >= maxDispatchRetries || !transient(err) {
 			return nil, fmt.Errorf("campaign: dispatch: %w", err)
 		}
+		if _, werr := waitPoints(ctx, indices, jobs); werr != nil {
+			return nil, werr
+		}
+		if len(jobs) == 0 {
+			// Nothing of the chunk got in (another client holds the queue),
+			// so there is no admitted job to pace on: wait out the
+			// service's own Retry-After estimate instead.
+			if werr := sleepCtx(ctx, time.Duration(r.Svc.RetryAfterSeconds())*time.Second); werr != nil {
+				return nil, werr
+			}
+		}
 		r.Met.dispatchRetried()
 	}
 	if r.Progress != nil {
@@ -331,6 +347,13 @@ func (r *Runner) runPoints(ctx context.Context, round int, indices []int, specs 
 			r.Progress(round, indices[i], job.ID())
 		}
 	}
+	return waitPoints(ctx, indices, jobs)
+}
+
+// waitPoints waits for each job in order — jobs[i] computes point
+// indices[i] — and returns their results, failing on the first job that
+// fails or when ctx ends.
+func waitPoints(ctx context.Context, indices []int, jobs []*simsvc.Job) ([]*ehs.Result, error) {
 	out := make([]*ehs.Result, len(jobs))
 	for i, job := range jobs {
 		res, err := job.Wait(ctx)
@@ -340,6 +363,18 @@ func (r *Runner) runPoints(ctx context.Context, round int, indices []int, specs 
 		out[i] = res
 	}
 	return out, nil
+}
+
+// sleepCtx waits for d or until ctx ends, whichever comes first.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // transient reports whether a dispatch failure is service backpressure — a

@@ -35,11 +35,17 @@ func (c Config) Fingerprint() string {
 	}
 	if tr := c.Trace; tr != nil {
 		w("trace|%s|%d\n", tr.Name, len(tr.Samples))
-		var buf [8]byte
+		// The samples' little-endian bit patterns, packed into 4 KiB blocks:
+		// the same bytes as one Write per sample, at a fraction of the calls.
+		buf := make([]byte, 0, 4096)
 		for _, s := range tr.Samples {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(s))
-			h.Write(buf[:])
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s))
+			if len(buf) == cap(buf) {
+				h.Write(buf)
+				buf = buf[:0]
+			}
 		}
+		h.Write(buf)
 	}
 	w("cap|%+v\n", c.Capacitor)
 	w("nvm|%+v\n", c.NVM)

@@ -168,9 +168,16 @@ type Lab struct {
 	svc     *simsvc.Service
 	ownsSvc bool
 
-	mu   sync.Mutex
-	ctx  context.Context // active RunContext context (nil ⇒ Background)
-	apps map[string]*workload.App
+	mu     sync.Mutex
+	ctx    context.Context // active RunContext context (nil ⇒ Background)
+	apps   map[string]*workload.App
+	traces map[traceID]*powertrace.Trace
+}
+
+// traceID names one synthesized power trace: a built-in source and a seed.
+type traceID struct {
+	name string
+	seed uint64
 }
 
 // New creates a Lab backed by its own simulation service.
@@ -181,9 +188,10 @@ func New(opts Options) *Lab { return NewWithService(nil, opts) }
 // the lab's Close.
 func NewWithService(svc *simsvc.Service, opts Options) *Lab {
 	l := &Lab{
-		opts: opts,
-		svc:  svc,
-		apps: make(map[string]*workload.App),
+		opts:   opts,
+		svc:    svc,
+		apps:   make(map[string]*workload.App),
+		traces: make(map[traceID]*powertrace.Trace),
 	}
 	if l.svc == nil {
 		sopts := simsvc.DefaultOptions()
@@ -250,6 +258,23 @@ func (l *Lab) app(name string) (*workload.App, error) {
 	return a, nil
 }
 
+// trace returns the (cached) power trace: every run on one (trace, seed)
+// shares a single synthesis. Simulations only read a trace's samples.
+func (l *Lab) trace(name string, seed uint64) (*powertrace.Trace, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	id := traceID{name, seed}
+	if tr, ok := l.traces[id]; ok {
+		return tr, nil
+	}
+	tr, err := powertrace.ByName(name, seed)
+	if err != nil {
+		return nil, err
+	}
+	l.traces[id] = tr
+	return tr, nil
+}
+
 // configFn derives a concrete config from the default for (app, trace).
 type configFn func(base ehs.Config) (ehs.Config, error)
 
@@ -262,7 +287,7 @@ func (l *Lab) result(appName, traceName string, seed uint64, cfgID string, fn co
 	if err != nil {
 		return nil, err
 	}
-	trace, err := powertrace.ByName(traceName, seed)
+	trace, err := l.trace(traceName, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -304,7 +329,7 @@ func (l *Lab) idealResult(appName, traceName string, seed uint64) (*ehs.Result, 
 	if err != nil {
 		return nil, err
 	}
-	trace, err := powertrace.ByName(traceName, seed)
+	trace, err := l.trace(traceName, seed)
 	if err != nil {
 		return nil, err
 	}

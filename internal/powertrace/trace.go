@@ -297,17 +297,34 @@ func Thermal(seed uint64) *Trace {
 	})
 }
 
-// ByName returns the named built-in trace ("RFHome", "Solar", "Thermal").
-func ByName(name string, seed uint64) (*Trace, error) {
+// Canonical returns the canonical spelling of a built-in trace name
+// ("rf" ⇒ "RFHome") without synthesizing any samples.
+func Canonical(name string) (string, error) {
 	switch strings.ToLower(name) {
 	case "rfhome", "rf":
-		return RFHome(seed), nil
+		return "RFHome", nil
 	case "solar":
-		return Solar(seed), nil
+		return "Solar", nil
 	case "thermal":
-		return Thermal(seed), nil
+		return "Thermal", nil
 	}
-	return nil, fmt.Errorf("powertrace: unknown trace %q", name)
+	return "", fmt.Errorf("powertrace: unknown trace %q", name)
+}
+
+// builtins maps each canonical trace name to its generator.
+var builtins = map[string]func(seed uint64) *Trace{
+	"RFHome":  RFHome,
+	"Solar":   Solar,
+	"Thermal": Thermal,
+}
+
+// ByName returns the named built-in trace ("RFHome", "Solar", "Thermal").
+func ByName(name string, seed uint64) (*Trace, error) {
+	canon, err := Canonical(name)
+	if err != nil {
+		return nil, err
+	}
+	return builtins[canon](seed), nil
 }
 
 // Names lists the built-in trace names in evaluation order.

@@ -31,6 +31,27 @@ func TestByNameUnknown(t *testing.T) {
 	}
 }
 
+// Canonical must name exactly the trace ByName builds, for every accepted
+// spelling, and reject what ByName rejects.
+func TestCanonicalMatchesByName(t *testing.T) {
+	for _, name := range []string{"RFHome", "rfhome", "rf", "RF", "Solar", "SOLAR", "Thermal", "thermal"} {
+		canon, err := Canonical(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		tr, err := ByName(name, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if canon != tr.Name {
+			t.Errorf("Canonical(%q) = %q, ByName builds %q", name, canon, tr.Name)
+		}
+	}
+	if _, err := Canonical("nuclear"); err == nil {
+		t.Fatal("expected error for unknown trace")
+	}
+}
+
 func TestMeansMatchAcrossSources(t *testing.T) {
 	// All three sources target the same mean power so the evaluation's energy
 	// budget comparison (Fig 30) is apples-to-apples.

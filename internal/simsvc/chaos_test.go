@@ -32,8 +32,9 @@ func chaosPlan(seed uint64) faultinject.Plan {
 	}}
 }
 
-// soakSpecs fans one seed out into distinct job specs: scale and policy
-// variants of the quick workloads.
+// soakSpecs fans one seed out into n distinct job specs: scale and policy
+// variants of the quick workloads, each on its own power-trace seed (app,
+// scale and policy alone repeat every four specs).
 func soakSpecs(n int) []RunSpec {
 	apps := []string{"jpeg", "gsm"}
 	policies := []string{"AIMD", "MIAD", "AIAD", "MIMD"}
@@ -42,6 +43,7 @@ func soakSpecs(n int) []RunSpec {
 		specs = append(specs, RunSpec{
 			App:    apps[i%len(apps)],
 			Scale:  0.002 + 0.001*float64(i%4),
+			Seed:   uint64(i + 1),
 			Codec:  "BDI",
 			ACC:    true,
 			Kagura: true,
@@ -80,11 +82,19 @@ func TestChaosSoak(t *testing.T) {
 
 			specs := soakSpecs(plainJobs)
 			var jobs []*Job
+			rejected := 0
 			for round := 0; round < 2; round++ {
 				for _, spec := range specs {
 					job, err := svc.Submit(spec)
 					if err != nil {
-						t.Fatalf("round %d submit: %v", round, err)
+						// The simsvc.coalesce rule refuses a submission that
+						// would ride an in-flight twin: a settled failure
+						// carrying its taxonomy code, not a soak violation.
+						if Classify(err) != CodeFaultInjected {
+							t.Fatalf("round %d submit: %v", round, err)
+						}
+						rejected++
+						continue
 					}
 					jobs = append(jobs, job)
 				}
@@ -168,10 +178,27 @@ func TestChaosSoak(t *testing.T) {
 				}
 			}
 
+			coalesced := 0
+			for _, job := range jobs {
+				st, err := svc.Job(job.ID())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, sp := range st.Trace {
+					if sp.Phase == obs.PhaseCoalesced {
+						coalesced++
+						break
+					}
+				}
+			}
+
 			m := svc.Metrics()
-			t.Logf("seed %d: run=%d cached=%d failed=%d compute-fires=%d panics=%d degraded=%d errors=%v",
-				seed, m.JobsRun, m.JobsCached, m.JobsFailed, computeFires,
+			t.Logf("seed %d: run=%d cached=%d coalesced=%d rejected=%d failed=%d compute-fires=%d panics=%d degraded=%d errors=%v",
+				seed, m.JobsRun, m.JobsCached, coalesced, rejected, m.JobsFailed, computeFires,
 				m.PanicsRecovered, m.DegradedRuns, m.Errors)
+			if coalesced == 0 {
+				t.Error("no job coalesced onto an in-flight twin; the soak never exercised coalescing under fire")
+			}
 			if computeFires == 0 {
 				t.Error("the chaos plan never fired at simsvc.compute; the soak exercised nothing")
 			}

@@ -403,17 +403,14 @@ drain:
 
 // Submit schedules one spec-described run and returns immediately. Identical
 // specs (same content key) coalesce: only the first executes, the rest finish
-// as cache hits.
+// as cache hits. The spec's Config is built on the worker that computes it,
+// so a hit, a coalesced submit or a store hit never synthesizes a trace.
 func (s *Service) Submit(spec RunSpec) (*Job, error) {
 	norm, err := spec.Normalize()
 	if err != nil {
 		return nil, s.badSpec(err)
 	}
-	key, err := norm.Key()
-	if err != nil {
-		return nil, s.badSpec(err)
-	}
-	cfg, err := norm.Config()
+	key, err := norm.key()
 	if err != nil {
 		return nil, s.badSpec(err)
 	}
@@ -422,6 +419,10 @@ func (s *Service) Submit(spec RunSpec) (*Job, error) {
 		timeout = time.Duration(norm.TimeoutSeconds * float64(time.Second))
 	}
 	compute := func(ctx context.Context) (*ehs.Result, error) {
+		cfg, err := norm.config()
+		if err != nil {
+			return nil, err
+		}
 		return ehs.RunContext(ctx, cfg)
 	}
 	return s.submit(&norm, key, compute, timeout, 0, s.submitRecord(&norm, key))

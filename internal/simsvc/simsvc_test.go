@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,6 +25,32 @@ func newTestService(t *testing.T, opts Options) *Service {
 	return svc
 }
 
+// spellingVariant respells every name in sp and makes its defaults
+// explicit: the same configuration, so the same key.
+func spellingVariant(sp RunSpec) RunSpec {
+	sp.Trace = "rfhome"
+	sp.Seed = 1 // explicit default
+	sp.Codec = "bdi"
+	sp.Design = "nvsramcache"
+	sp.Policy = "aimd"
+	sp.Trigger = "memory"
+	return sp
+}
+
+// keyMutations each change one behavior-determining field of quickSpec.
+var keyMutations = map[string]func(*RunSpec){
+	"app":    func(s *RunSpec) { s.App = "gsm" },
+	"seed":   func(s *RunSpec) { s.Seed = 2 },
+	"scale":  func(s *RunSpec) { s.Scale = 0.008 },
+	"codec":  func(s *RunSpec) { s.Codec = "FPC" },
+	"acc":    func(s *RunSpec) { s.ACC = false },
+	"kagura": func(s *RunSpec) { s.Kagura = false; s.Policy = ""; s.Trigger = "" },
+	"design": func(s *RunSpec) { s.Design = "NvMR" },
+	"trace":  func(s *RunSpec) { s.Trace = "Solar" },
+	"decay":  func(s *RunSpec) { s.DecayInterval = 600 },
+	"log":    func(s *RunSpec) { s.CycleLog = true },
+}
+
 func TestKeyCanonicalization(t *testing.T) {
 	base := quickSpec()
 	k1, err := base.Key()
@@ -32,14 +59,7 @@ func TestKeyCanonicalization(t *testing.T) {
 	}
 
 	// Spelling variants of the same configuration hash identically.
-	variant := base
-	variant.Trace = "rfhome"
-	variant.Seed = 1 // explicit default
-	variant.Codec = "bdi"
-	variant.Design = "nvsramcache"
-	variant.Policy = "aimd"
-	variant.Trigger = "memory"
-	k2, err := variant.Key()
+	k2, err := spellingVariant(base).Key()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,18 +75,7 @@ func TestKeyCanonicalization(t *testing.T) {
 	}
 
 	// Any behavioral difference does.
-	for name, mutate := range map[string]func(*RunSpec){
-		"app":    func(s *RunSpec) { s.App = "gsm" },
-		"seed":   func(s *RunSpec) { s.Seed = 2 },
-		"scale":  func(s *RunSpec) { s.Scale = 0.008 },
-		"codec":  func(s *RunSpec) { s.Codec = "FPC" },
-		"acc":    func(s *RunSpec) { s.ACC = false },
-		"kagura": func(s *RunSpec) { s.Kagura = false; s.Policy = ""; s.Trigger = "" },
-		"design": func(s *RunSpec) { s.Design = "NvMR" },
-		"trace":  func(s *RunSpec) { s.Trace = "Solar" },
-		"decay":  func(s *RunSpec) { s.DecayInterval = 600 },
-		"log":    func(s *RunSpec) { s.CycleLog = true },
-	} {
+	for name, mutate := range keyMutations {
 		m := base
 		mutate(&m)
 		k, err := m.Key()
@@ -102,6 +111,105 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// Submit keys a spec with Normalize alone and builds its Config only on the
+// worker, so Normalize must reject every spec config would: each spec it
+// accepts has to materialize, and into the Config the public path builds.
+func TestNormalizedSpecsMaterialize(t *testing.T) {
+	specs := map[string]RunSpec{
+		"quick":    quickSpec(),
+		"spelling": spellingVariant(quickSpec()),
+		"minimal":  {App: "jpeg"},
+		"voltage":  {App: "gsm", Scale: 0.004, Kagura: true, Trigger: "vol", IncreaseStep: 0.2, CounterBits: 3},
+		"limits":   {App: "crc", Scale: 0.004, MaxSimSeconds: 5, TimeoutSeconds: 30, Prefetch: true},
+		"inline": {Workload: []byte(`{"name":"tiny","seed":7,
+			"regions":[{"base":268435456,"sizeWords":64,"hotWords":64,"class":"narrow"}],
+			"phases":[{"iterations":50,"codeBase":65536,"codeWords":48,"body":["arith","load hot 0","store seq 0"]}]}`)},
+	}
+	for name, mutate := range keyMutations {
+		sp := quickSpec()
+		mutate(&sp)
+		specs["mutation "+name] = sp
+	}
+	for _, tr := range []string{"RFHome", "Solar", "Thermal", "rf"} {
+		specs["trace "+tr] = RunSpec{App: "jpeg", Scale: 0.004, Trace: tr}
+	}
+	for _, d := range []string{"NVSRAMCache", "nvmr", "SweepCache"} {
+		specs["design "+d] = RunSpec{App: "jpeg", Scale: 0.004, Design: d}
+	}
+	for name, sp := range specs {
+		norm, err := sp.Normalize()
+		if err != nil {
+			t.Fatalf("%s: Normalize: %v", name, err)
+		}
+		cfg, err := norm.config()
+		if err != nil {
+			t.Fatalf("%s: Normalize accepted a spec config rejects: %v", name, err)
+		}
+		want, err := sp.Config()
+		if err != nil {
+			t.Fatalf("%s: Config: %v", name, err)
+		}
+		if ConfigKey(cfg) != ConfigKey(want) {
+			t.Errorf("%s: config() of the normalized spec differs from Config()", name)
+		}
+	}
+}
+
+// The cache keys of a plain spec and of a warm-start fork, recorded before
+// spec preparation was made lazy: a change to how specs are keyed would
+// re-key every store entry and journal record on disk.
+func TestSpecKeysPinned(t *testing.T) {
+	if k, err := quickSpec().Key(); err != nil || k != "a23a789469249887a9c913699794fe9ebcddd9127beffe76654f66bc9d25a672" {
+		t.Errorf("quickSpec key = %s, %v", k, err)
+	}
+	svc := newTestService(t, Options{Workers: 1})
+	jobs, err := svc.SubmitBatchFork(sweepSpecs(), &ForkPoint{Cycles: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"a23a789469249887a9c913699794fe9ebcddd9127beffe76654f66bc9d25a672", // the base resumes exactly: its cold key
+		"903062ca05007fca768d808a799b56057954e6cf1710341411f02b78cff3c7ba",
+		"9f15991c8e138796f027473b07ff22da22d32a075202a35950371769a479a84b",
+	}
+	for i, job := range jobs {
+		if job.Key() != want[i] {
+			t.Errorf("fork job %d key = %s, want %s", i, job.Key(), want[i])
+		}
+		if _, err := job.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A memory-cache hit must stay cheap: it validates and keys the spec, and
+// builds neither the workload nor the 200k-sample power trace (1.6 MB).
+// TotalAlloc counts bytes, not time, so the budget holds on any host.
+func TestCacheHitAllocBudget(t *testing.T) {
+	svc := newTestService(t, Options{Workers: 1})
+	if _, err := svc.Run(context.Background(), quickSpec()); err != nil {
+		t.Fatal(err)
+	}
+	const hits = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < hits; i++ {
+		job, err := svc.Submit(quickSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !job.cached {
+			t.Fatalf("submit %d missed the cache", i)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perHit := (after.TotalAlloc - before.TotalAlloc) / hits
+	t.Logf("%d bytes allocated per cache hit", perHit)
+	if perHit > 256<<10 {
+		t.Errorf("a cache hit allocated %d bytes, budget %d", perHit, 256<<10)
+	}
+}
+
 func TestConfigKeyMatchesAcrossConstructions(t *testing.T) {
 	cfgA, err := quickSpec().Config()
 	if err != nil {
@@ -113,6 +221,11 @@ func TestConfigKeyMatchesAcrossConstructions(t *testing.T) {
 	}
 	if ConfigKey(cfgA) != ConfigKey(cfgB) {
 		t.Fatal("identical configs produced different keys")
+	}
+	// Recorded before the trace samples were hashed in blocks: the digest of
+	// a config must not depend on how its bytes reach the hash.
+	if got, want := ConfigKey(cfgA), "dbd945bca4445c68c2e4102524c2b6074e89827c1bd846f4b7a561f6704ac431"; got != want {
+		t.Errorf("quickSpec config fingerprint = %s, want %s", got, want)
 	}
 	cfgB.Prefetch = true
 	if ConfigKey(cfgA) == ConfigKey(cfgB) {

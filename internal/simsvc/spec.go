@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"kagura/internal/cache"
@@ -70,6 +71,11 @@ type RunSpec struct {
 // applied, names rewritten to their canonical spelling, and inline workloads
 // re-serialized deterministically. Two specs describing the same simulation
 // normalize to identical values, which is what makes Key content-addressed.
+//
+// Normalize is the spec's one validator: every spec it accepts materializes
+// into a Config. It checks names by lookup and builds neither the workload
+// nor the power trace, so validating and keying a spec stays cheap even when
+// the result is already cached.
 func (sp RunSpec) Normalize() (RunSpec, error) {
 	out := sp
 	if sp.App == "" && len(sp.Workload) == 0 {
@@ -107,15 +113,15 @@ func (sp RunSpec) Normalize() (RunSpec, error) {
 		}
 		out.Workload = json.RawMessage(buf.Bytes())
 		out.Scale = 1 // length is fixed by the definition
-	} else if _, err := workload.ByName(sp.App, 0.01); err != nil {
-		return out, fmt.Errorf("simsvc: %w", err)
+	} else if !slices.Contains(workload.Names(), sp.App) {
+		return out, fmt.Errorf("simsvc: workload: unknown application %q", sp.App)
 	}
 
-	trace, err := powertrace.ByName(out.Trace, out.Seed)
+	var err error
+	out.Trace, err = powertrace.Canonical(out.Trace)
 	if err != nil {
 		return out, fmt.Errorf("simsvc: %w", err)
 	}
-	out.Trace = trace.Name
 
 	if sp.Codec != "" {
 		codec, err := compress.ByName(sp.Codec)
@@ -208,8 +214,13 @@ func (sp RunSpec) Key() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	norm.TimeoutSeconds = 0
-	blob, err := json.Marshal(norm)
+	return norm.key()
+}
+
+// key is Key for a spec Normalize already returned.
+func (sp RunSpec) key() (string, error) {
+	sp.TimeoutSeconds = 0
+	blob, err := json.Marshal(sp)
 	if err != nil {
 		return "", err
 	}
@@ -223,52 +234,62 @@ func (sp RunSpec) Config() (ehs.Config, error) {
 	if err != nil {
 		return ehs.Config{}, err
 	}
-	var app *workload.App
-	if len(norm.Workload) > 0 {
-		app, err = workload.FromJSON(bytes.NewReader(norm.Workload))
+	return norm.config()
+}
+
+// config is Config for a spec Normalize already returned. It builds the
+// workload and synthesizes the power trace, so the service calls it only
+// on the worker that computes the job.
+func (sp RunSpec) config() (ehs.Config, error) {
+	var (
+		app *workload.App
+		err error
+	)
+	if len(sp.Workload) > 0 {
+		app, err = workload.FromJSON(bytes.NewReader(sp.Workload))
 	} else {
-		app, err = workload.ByName(norm.App, norm.Scale)
+		app, err = workload.ByName(sp.App, sp.Scale)
 	}
 	if err != nil {
 		return ehs.Config{}, err
 	}
-	trace, err := powertrace.ByName(norm.Trace, norm.Seed)
+	trace, err := powertrace.ByName(sp.Trace, sp.Seed)
 	if err != nil {
 		return ehs.Config{}, err
 	}
 	cfg := ehs.Default(app, trace)
-	cfg.Design = designByName(norm.Design)
-	if norm.Codec != "" {
-		codec, err := compress.ByName(norm.Codec)
+	cfg.Design = designByName(sp.Design)
+	if sp.Codec != "" {
+		codec, err := compress.ByName(sp.Codec)
 		if err != nil {
 			return ehs.Config{}, err
 		}
 		cfg.Codec = codec
-		cfg.UseACC = norm.ACC
+		cfg.UseACC = sp.ACC
 	}
-	if norm.Kagura {
+	if sp.Kagura {
 		kcfg := kagura.DefaultConfig()
-		pol, err := kagura.PolicyByName(norm.Policy)
+		pol, err := kagura.PolicyByName(sp.Policy)
 		if err != nil {
 			return ehs.Config{}, err
 		}
 		kcfg.Policy = pol
-		if norm.Trigger == "voltage" {
+		if sp.Trigger == "voltage" {
 			kcfg.Trigger = kagura.TriggerVoltage
 		}
-		if norm.IncreaseStep > 0 {
-			kcfg.IncreaseStep = norm.IncreaseStep
+		if sp.IncreaseStep > 0 {
+			kcfg.IncreaseStep = sp.IncreaseStep
 		}
-		if norm.CounterBits > 0 {
-			kcfg.CounterBits = norm.CounterBits
+		if sp.CounterBits > 0 {
+			kcfg.CounterBits = sp.CounterBits
 		}
 		cfg.Kagura = &kcfg
 	}
-	cfg.DecayInterval = norm.DecayInterval
-	cfg.Prefetch = norm.Prefetch
-	cfg.CollectCycleLog = norm.CycleLog
-	if norm.MaxSimSeconds > 0 {
-		cfg.MaxSimSeconds = norm.MaxSimSeconds
+	cfg.DecayInterval = sp.DecayInterval
+	cfg.Prefetch = sp.Prefetch
+	cfg.CollectCycleLog = sp.CycleLog
+	if sp.MaxSimSeconds > 0 {
+		cfg.MaxSimSeconds = sp.MaxSimSeconds
 	}
 	return cfg, nil
 }

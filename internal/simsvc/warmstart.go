@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"kagura/internal/ckpt"
@@ -68,17 +69,13 @@ func (s *Service) SubmitBatchFork(specs []RunSpec, fork *ForkPoint) ([]*Job, err
 	if err != nil {
 		return nil, s.badSpec(fmt.Errorf("simsvc: forkPoint base: %w", err))
 	}
-	baseKey, err := base.Key()
+	baseKey, err := base.key()
 	if err != nil {
 		return nil, s.badSpec(fmt.Errorf("simsvc: forkPoint base: %w", err))
 	}
-	baseCfg, err := base.Config()
-	if err != nil {
-		return nil, s.badSpec(fmt.Errorf("simsvc: forkPoint base: %w", err))
-	}
-	if baseCfg.Oracle != nil {
-		return nil, s.badSpec(fmt.Errorf("simsvc: forkPoint base cannot be an oracle run"))
-	}
+	// Only a warm-snapshot miss needs the base config; build it at most once
+	// per batch, and only then.
+	baseCfg := sync.OnceValues(base.config)
 
 	jobs := make([]*Job, 0, len(specs))
 	for i, spec := range specs {
@@ -91,17 +88,14 @@ func (s *Service) SubmitBatchFork(specs []RunSpec, fork *ForkPoint) ([]*Job, err
 	return jobs, nil
 }
 
-// submitFork schedules one warm-started run.
-func (s *Service) submitFork(spec RunSpec, base RunSpec, baseKey string, baseCfg ehs.Config, cycles int64) (*Job, error) {
+// submitFork schedules one warm-started run. Like Submit, it builds the
+// job's Config only on the worker that computes it.
+func (s *Service) submitFork(spec RunSpec, base RunSpec, baseKey string, baseCfg func() (ehs.Config, error), cycles int64) (*Job, error) {
 	norm, err := spec.Normalize()
 	if err != nil {
 		return nil, s.badSpec(err)
 	}
-	coldKey, err := norm.Key()
-	if err != nil {
-		return nil, s.badSpec(err)
-	}
-	cfg, err := norm.Config()
+	coldKey, err := norm.key()
 	if err != nil {
 		return nil, s.badSpec(err)
 	}
@@ -117,6 +111,10 @@ func (s *Service) submitFork(spec RunSpec, base RunSpec, baseKey string, baseCfg
 		// The job's trace rides the context (obs.WithTrace in runJob): split
 		// the compute span into a warm-start span — computing or waiting
 		// for the snapshot — and the simulation proper.
+		cfg, err := norm.config()
+		if err != nil {
+			return nil, err
+		}
 		tr := obs.TraceFrom(ctx)
 		tr.Begin(obs.PhaseWarmStart, time.Now())
 		snap, err := s.warmSnapshot(ctx, baseCfg, baseKey, cycles)
@@ -165,7 +163,7 @@ func forkKey(baseKey string, cycles int64, coldKey string) string {
 // (singleflight). A failed computation clears the slot; a waiter that
 // observes the failure retries as the new owner under its own context, so
 // one canceled job cannot poison the batch.
-func (s *Service) warmSnapshot(ctx context.Context, baseCfg ehs.Config, baseKey string, cycles int64) (*ehs.Snapshot, error) {
+func (s *Service) warmSnapshot(ctx context.Context, baseCfg func() (ehs.Config, error), baseKey string, cycles int64) (*ehs.Snapshot, error) {
 	k := warmKey{baseKey: baseKey, cycles: cycles}
 	for {
 		s.mu.Lock()
@@ -197,7 +195,10 @@ func (s *Service) warmSnapshot(ctx context.Context, baseCfg ehs.Config, baseKey 
 		s.met.warmMisses++
 		s.mu.Unlock()
 
-		if snap, blob, ok := s.storeGetSnapshot(baseCfg, baseKey, cycles); ok {
+		cfg, cerr := baseCfg()
+		if cerr != nil {
+			e.err = cerr
+		} else if snap, blob, ok := s.storeGetSnapshot(cfg, baseKey, cycles); ok {
 			// Persistent-tier hit: a previous run (or process) already paid
 			// for this prefix. Book its wire size like a fresh snapshot.
 			e.snap = snap
@@ -205,7 +206,7 @@ func (s *Service) warmSnapshot(ctx context.Context, baseCfg ehs.Config, baseKey 
 			s.met.snapshotBytesHist.Observe(float64(len(blob)))
 			s.mu.Unlock()
 		} else {
-			e.snap, e.err = computeWarmSnapshot(ctx, baseCfg, cycles)
+			e.snap, e.err = computeWarmSnapshot(ctx, cfg, cycles)
 			if e.err == nil {
 				// Book the snapshot's encoded size and write the blob through
 				// to the persistent tier. Encoding once per warm miss is noise
